@@ -6,10 +6,7 @@
 //	cf-bench -exp fig2            # one experiment
 //	cf-bench -exp all             # everything (takes a while)
 //	cf-bench -exp tab1 -quick     # reduced scale
-//	cf-bench -batch               # the batched-datapath sweep (-exp batching)
-//	cf-bench -cluster             # the multi-node scale-out grid (-exp cluster)
-//	cf-bench -chaos               # crash/flap/gray fault scenarios (-exp chaos)
-//	cf-bench -rpc                 # serializer-aware RPC chains over the rack (-exp rpc)
+//	cf-bench -exp cluster -quick  # the multi-node scale-out grid
 //	cf-bench -exp fig7 -parallel 4  # fan sweep points across 4 goroutines
 //	cf-bench -exp fig3 -quick -parallel 1 -cpuprofile cpu.prof
 //	cf-bench -exp fig5 -quick -parallel 1 -memprofile mem.prof
@@ -22,14 +19,10 @@
 // on independent testbeds and merge in point order, so reports are
 // byte-identical at any width (gated by TestSerialParallelFingerprints).
 //
-// -partition runs each multi-node sweep point (cluster, chaos, rpc) on the
-// parallel-in-time engine: every node owns its own event-queue shard and
-// shards advance concurrently between lookahead barriers. Also only
-// wall-clock: the partitioned total event order equals the serial order
-// (gated by TestSerialPartitionedFingerprints).
-//
-// Experiment ids: fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// fig13 tab1 tab2 tab3 tab4 tab5.
+// Experiment ids: the paper's fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10
+// fig11 fig12 fig13 tab1 tab2 tab3 tab4 tab5, plus the extensions
+// (batching, cluster, chaos, rpc, overload, soak, trace, ext-*); -list
+// prints them all.
 package main
 
 import (
@@ -53,18 +46,12 @@ func main() {
 
 func run() int {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
-	batch := flag.Bool("batch", false, "shorthand for -exp batching (batched RX/TX datapath sweep)")
-	cluster := flag.Bool("cluster", false, "shorthand for -exp cluster (multi-node ToR-switch scale-out grid)")
-	chaos := flag.Bool("chaos", false, "shorthand for -exp chaos (node crash/recovery, port flaps, gray failure)")
-	rpcExp := flag.Bool("rpc", false, "shorthand for -exp rpc (serializer-aware RPC chains: depth × load, fan-out, NIC offload)")
 	quick := flag.Bool("quick", false, "reduced scale (faster, noisier)")
 	list := flag.Bool("list", false, "list experiment ids")
 	csvDir := flag.String("csv", "", "also write each report's table to <dir>/<id>.csv")
 	traceDir := flag.String("trace", "", "enable per-request tracing on experiments that support it and write each report's artifacts (Chrome trace JSON) to <dir>")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"sweep fan-out width: independent sweep points run on up to N goroutines (1 = serial); reports are byte-identical at any width")
-	partition := flag.Bool("partition", false,
-		"run each multi-node sweep point on the parallel-in-time engine (per-node event-queue shards between lookahead barriers); reports are byte-identical either way")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (inspect with go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file after the runs (alloc_space shows the serialization-path allocators)")
 	flag.Parse()
@@ -88,19 +75,6 @@ func run() int {
 	}
 	sc.Trace = *traceDir != ""
 	sc.Workers = *parallel
-	sc.Partition = *partition
-	if *batch {
-		*exp = "batching"
-	}
-	if *cluster {
-		*exp = "cluster"
-	}
-	if *chaos {
-		*exp = "chaos"
-	}
-	if *rpcExp {
-		*exp = "rpc"
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

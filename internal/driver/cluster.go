@@ -7,7 +7,6 @@ import (
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
-	"cornflakes/internal/sim"
 	"cornflakes/internal/workloads"
 )
 
@@ -43,17 +42,8 @@ type ClusterTestbed struct {
 // (100 Gbps ToR ports, 300 ns switching latency, 256-frame output queues).
 // Servers plug in before clients, so shard fabric addresses stay 1..n.
 func NewClusterTestbed(nServers, nClients int, sys System, profile nic.Profile, cacheCfg cachesim.Config, fcfg fabric.Config) *ClusterTestbed {
-	return NewClusterTestbedOn(NewRack(fcfg), nServers, nClients, sys, profile, cacheCfg)
-}
-
-// NewClusterTestbedOn builds the same topology on a caller-provided empty
-// rack — the seam the parallel-in-time mode enters through: pass
-// NewRackPartitioned(fcfg) and every shard server and client lands on its
-// own event-queue partition, with identical construction order (and hence
-// identical fingerprints) to the serial build.
-func NewClusterTestbedOn(r *Rack, nServers, nClients int, sys System, profile nic.Profile, cacheCfg cachesim.Config) *ClusterTestbed {
 	c := &ClusterTestbed{
-		Rack: r,
+		Rack: NewRack(fcfg),
 		Ring: loadgen.NewRing(nServers, 0),
 	}
 	for i := 0; i < nServers; i++ {
@@ -96,18 +86,6 @@ func (c *ClusterTestbed) FaultNodes() []faults.FaultNode {
 		nodes[i] = s
 	}
 	return nodes
-}
-
-// ServerEngines returns each shard server's engine, index-aligned with
-// FaultNodes — faults.ScheduleNodePlanOn needs them so a partitioned run
-// arms each node's crash/recovery/gray events on that node's own shard.
-// On a serial testbed every entry is the rack engine.
-func (c *ClusterTestbed) ServerEngines() []*sim.Engine {
-	engs := make([]*sim.Engine, len(c.Servers))
-	for i, s := range c.Servers {
-		engs[i] = s.N.Eng
-	}
-	return engs
 }
 
 // NewClient builds the consistent-hash-routed client for client index i.

@@ -16,22 +16,18 @@ import (
 // here instead of re-deriving switch plumbing. ClusterTestbed builds its
 // sharded rack on top; internal/rpc builds call graphs the same way.
 type Rack struct {
-	// Eng is the switch's engine. Serial racks put every node on it too;
-	// partitioned racks give each node its own shard, so components built
-	// directly on r.Eng (rather than on a node's engine) live in the
-	// switch's partition.
+	// Eng runs the whole rack: the switch and every node.
 	Eng    *sim.Engine
 	Switch *fabric.Switch
-	// Exec is the handle the harness drives the run through: Eng itself on
-	// a serial rack, the partition coordinator on a partitioned one.
+	// Exec is the handle a harness may drive the run through; it is always
+	// Eng. It remains so callers written against the sim.Runner surface
+	// keep compiling.
 	Exec sim.Runner
 	// Nodes[i] sits at fabric address Addrs[i], in AddNode order. The
 	// switch hands out addresses 1..n in plug-in order, so topology
 	// construction order is part of a scenario's deterministic identity.
 	Nodes []*Node
 	Addrs []byte
-
-	part *sim.PartitionedEngine
 }
 
 // NewRack builds an empty rack: one engine, one ToR switch. A zero
@@ -42,39 +38,11 @@ func NewRack(fcfg fabric.Config) *Rack {
 	return &Rack{Eng: eng, Exec: eng, Switch: fabric.New(eng, fcfg)}
 }
 
-// NewRackPartitioned builds a rack in parallel-in-time mode: the switch
-// gets its own event-queue shard, every AddNode gets another, and Exec is
-// the coordinator that runs them concurrently between lookahead barriers.
-// The lookahead is the link propagation delay — the minimum time any event
-// on one partition needs to affect another, since every cross-partition
-// interaction traverses a link (DESIGN.md §17). Same topology, same
-// construction order, same fingerprints as NewRack; only wall-clock
-// parallelism differs.
-func NewRackPartitioned(fcfg fabric.Config) *Rack {
-	part := sim.NewPartitionedEngine(propagation)
-	eng := part.NewShard()
-	return &Rack{Eng: eng, Exec: part, part: part, Switch: fabric.New(eng, fcfg)}
-}
-
-// Partitioned reports whether the rack runs in parallel-in-time mode.
-func (r *Rack) Partitioned() bool { return r.part != nil }
-
-// nodeEngine returns the engine the next node should live on: a fresh
-// shard in partitioned mode, the rack engine otherwise.
-func (r *Rack) nodeEngine() *sim.Engine {
-	if r.part != nil {
-		return r.part.NewShard()
-	}
-	return r.Eng
-}
-
 // AddNode plugs a fresh UDP node into the switch and returns it with its
-// fabric address. In partitioned mode the node (NIC, stack, core, cache)
-// lives on its own shard; only its link to the switch crosses partitions.
+// fabric address.
 func (r *Rack) AddNode(profile nic.Profile, cacheCfg cachesim.Config) (*Node, byte) {
-	eng := r.nodeEngine()
-	port, addr := r.Switch.PlugInOn(eng, profile, propagation)
-	n := NewNodeCfg(eng, port, false, cacheCfg)
+	port, addr := r.Switch.PlugIn(profile, propagation)
+	n := NewNodeCfg(r.Eng, port, false, cacheCfg)
 	n.UDP.LocalAddr = addr
 	r.Nodes = append(r.Nodes, n)
 	r.Addrs = append(r.Addrs, addr)

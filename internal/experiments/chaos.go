@@ -143,12 +143,8 @@ func (p ChaosPoint) fingerprint() string {
 // runChaos executes one chaos point on a fresh 4-node rack.
 func runChaos(cc chaosCfg) ChaosPoint {
 	gen := workloads.NewYCSBTheta(cc.nKeys, 128, 1, cc.theta)
-	rack := driver.NewRack(fabric.Config{})
-	if cc.sc.Partition {
-		rack = driver.NewRackPartitioned(fabric.Config{})
-	}
-	c := driver.NewClusterTestbedOn(rack, chaosNodes, chaosNodes, driver.SysCornflakes,
-		nic.MellanoxCX6(), cachesim.DefaultConfig())
+	c := driver.NewClusterTestbed(chaosNodes, chaosNodes, driver.SysCornflakes,
+		nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
 	for _, srv := range c.Servers {
 		srv.ShedQueue = chaosShedQueue
 	}
@@ -161,17 +157,14 @@ func runChaos(cc chaosCfg) ChaosPoint {
 		injUp, injDown = faults.Apply(*cc.linkFault,
 			c.Clients[0].UDP.Port, c.Switch.LinkPort(c.ClientAddrs[0]))
 	}
-	// Each node's fault transitions arm on that node's own engine — its
-	// shard in partitioned mode, the rack engine otherwise (where this is
-	// exactly ScheduleNodePlan). Flaps arm on the switch's engine.
-	sched := faults.ScheduleNodePlanOn(c.ServerEngines(), c.Eng, cc.plan, c.FaultNodes(), c.Switch)
+	sched := faults.ScheduleNodePlan(c.Eng, cc.plan, c.FaultNodes(), c.Switch)
 
 	cfgs := make([]loadgen.Config, chaosNodes)
 	for i := range cfgs {
 		cl := c.NewClient(i, driver.SysCornflakes, cc.R)
 		cl.Failover = cc.failover
 		cfgs[i] = loadgen.Config{
-			Eng: c.Clients[i].Eng, Exec: c.Exec, EP: c.Clients[i].UDP,
+			Eng: c.Eng, EP: c.Clients[i].UDP,
 			Gen: gen, Client: cl,
 			RatePerS: cc.ratePerClient,
 			Warmup:   sim.Time(cc.sc.WarmupMs) * sim.Millisecond,
@@ -188,7 +181,7 @@ func runChaos(cc chaosCfg) ChaosPoint {
 	// Quiesce: let frames still inside the switch pipeline or on a wire
 	// land, so the conservation ledger reads a settled topology. Results
 	// are already captured; post-horizon deliveries only count as Late.
-	c.Exec.Run()
+	c.Eng.Run()
 
 	p := ChaosPoint{
 		ClusterPoint: ClusterPoint{

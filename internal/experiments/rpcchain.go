@@ -306,16 +306,12 @@ const rpcFanInTimeout = 250 * sim.Microsecond
 func rpcAt(sc Scale, o rpcOpts) rpcPoint {
 	cfg := rpc.ChainConfig{
 		Sys: driver.SysCornflakes, Profile: nic.MellanoxCX6(), Cache: cachesim.DefaultConfig(),
-		Fabric:      fabric.Config{},
-		Depth:       o.Depth, Fanout: o.Fanout,
-		AppCycles:   1500, ReqBytes: 64, FwdBytes: 64, RespBytes: 128,
+		Fabric: fabric.Config{},
+		Depth:  o.Depth, Fanout: o.Fanout,
+		AppCycles: 1500, ReqBytes: 64, FwdBytes: 64, RespBytes: 128,
 		CallTimeout: rpcFanInTimeout,
 		Offload:     o.Offload,
 		Tracer:      o.Tracer,
-		// A traced point stays serial: one trace.Tracer collects marks from
-		// every tier, and that shared sink is the one piece of state the
-		// partition isolation contract cannot cover.
-		Partition: sc.Partition && o.Tracer == nil,
 	}
 	c := rpc.NewChain(cfg)
 	if o.ShedQueue > 0 {
@@ -325,7 +321,7 @@ func rpcAt(sc Scale, o rpcOpts) rpcPoint {
 		deep.ShedQueue = o.ShedQueue
 	}
 	lcfg := loadgen.Config{
-		Eng: c.Client.N.Eng, Exec: c.Exec, EP: c.Client.N.UDP,
+		Eng: c.Eng, EP: c.Client.N.UDP,
 		Gen: rpcGen{}, Client: c.Client,
 		RatePerS: o.Rate,
 		Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
@@ -339,7 +335,7 @@ func rpcAt(sc Scale, o rpcOpts) rpcPoint {
 		lcfg.Hedge = loadgen.HedgePolicy{Delay: o.HedgeDelay}
 	}
 	res := loadgen.Run(lcfg)
-	c.Exec.Run() // quiesce: fan-in timers, stragglers, late replies
+	c.Eng.Run() // quiesce: fan-in timers, stragglers, late replies
 
 	p := rpcPoint{
 		Depth: o.Depth, Fanout: o.Fanout, Offload: o.Offload,

@@ -153,19 +153,11 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 // carry zeroed headers) are visibly unroutable rather than silently
 // delivered to the first endpoint.
 func (s *Switch) PlugIn(prof nic.Profile, propagation sim.Time) (*nic.Port, byte) {
-	return s.PlugInOn(s.eng, prof, propagation)
-}
-
-// PlugInOn is PlugIn with the endpoint-side port on its own engine — the
-// partitioned topology builder places each endpoint on its partition's
-// shard while the switch-side ports stay on the switch's shard. With
-// epEng == the switch's engine this is exactly PlugIn.
-func (s *Switch) PlugInOn(epEng *sim.Engine, prof nic.Profile, propagation sim.Time) (*nic.Port, byte) {
 	if len(s.ports) >= 255 {
 		panic("fabric: switch port space exhausted")
 	}
 	addr := byte(len(s.ports) + 1)
-	ep, sw := nic.LinkOn(epEng, s.eng, prof, s.cfg.Port, propagation)
+	ep, sw := nic.Link(s.eng, prof, s.cfg.Port, propagation)
 	p := &swPort{addr: addr, link: sw}
 	sw.SetHandler(func(f *nic.Frame) { s.ingress(p, f) })
 	// The switch queues f.Data for egress (store-and-forward); the sending

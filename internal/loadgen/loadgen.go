@@ -99,13 +99,10 @@ func (p RetryPolicy) backoffFor(k int) sim.Time {
 
 // Config drives one load generation run.
 type Config struct {
-	// Eng is the engine the client's activity is scheduled on — in a
-	// partitioned topology, the client node's own shard.
+	// Eng is the engine the client's activity is scheduled on.
 	Eng *sim.Engine
-	// Exec, when set, is what Run/RunMany drive instead of Eng — a
-	// partitioned topology's coordinator (driver.Rack.Exec). Scheduling
-	// stays on Eng; only the run loop moves. Nil means drive Eng directly,
-	// the serial behavior.
+	// Exec, when set, is what Run/RunMany drive instead of Eng. Scheduling
+	// stays on Eng; only the run loop moves. Nil means drive Eng directly.
 	Exec sim.Runner
 	// EP is the client-side endpoint (its meter is the client's own CPU,
 	// which is not the measured resource — the paper's load generator has

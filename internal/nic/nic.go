@@ -283,20 +283,17 @@ type Port struct {
 	// txPool and rxPool recycle the per-frame transmit and delivery state
 	// (each op carries its callback closure, bound once at creation, so a
 	// steady-state send schedules zero new closures). Both pools are only
-	// touched from this port's engine goroutine: tx ops live from post to
-	// DMA completion, and rx ops are used only on the same-engine delivery
-	// fast path (cross-shard deliveries fall back to a fresh closure — the
-	// pool must not be touched from the peer's shard).
+	// touched from the link's engine goroutine: tx ops live from post to
+	// DMA completion, and rx ops from transmit to delivery.
 	txPool []*txOp
 	rxPool []*rxOp
 
 	// dataPool recycles assembled-frame buffers. A frame buffer is handed
 	// to the observer, the loss injector, and the peer's handler, none of
-	// which may keep it past the call; once the same-engine delivery
-	// returns (or the frame is dropped at the sender), the buffer goes
-	// back here. Deliveries that cross a shard boundary or pass through an
-	// interceptor are never recycled — their lifetime is not visible from
-	// this goroutine.
+	// which may keep it past the call; once the pooled delivery returns
+	// (or the frame is dropped at the sender), the buffer goes back here.
+	// Deliveries that pass through an interceptor are never recycled —
+	// the interceptor may hand back copies or the original buffer.
 	dataPool [][]byte
 
 	// RetainsRx marks that this port's handler legitimately keeps
@@ -337,7 +334,7 @@ type txOp struct {
 	run     func() // bound once: op.dmaComplete
 }
 
-// rxOp is the pooled delivery of one frame on the same-engine fast path.
+// rxOp is the pooled delivery of one frame on the interceptor-free path.
 // The embedded Frame is handed to the receive handler by pointer and
 // reused afterwards (see Handler).
 type rxOp struct {
@@ -379,19 +376,8 @@ func (p *Port) getRxOp() *rxOp {
 // Link connects two new ports with the given profiles and one-way
 // propagation delay (wire + switch).
 func Link(eng *sim.Engine, a, b Profile, propagation sim.Time) (*Port, *Port) {
-	return LinkOn(eng, eng, a, b, propagation)
-}
-
-// LinkOn is Link with the two ends on (possibly) different engines — the
-// partitioned-mode topology builder puts each end on its partition's shard.
-// Deliveries are scheduled on the *receiving* port's engine via
-// sim.AtFrom, which is the identical call when both ends share one engine.
-// The propagation delay is the link's contribution to the partition
-// lookahead: it must be ≥ the coordinator's lookahead bound for the
-// conservative windows to be sound (sim.Engine panics on a violation).
-func LinkOn(engA, engB *sim.Engine, a, b Profile, propagation sim.Time) (*Port, *Port) {
-	pa := &Port{eng: engA, prof: a, propag: propagation}
-	pb := &Port{eng: engB, prof: b, propag: propagation}
+	pa := &Port{eng: eng, prof: a, propag: propagation}
+	pb := &Port{eng: eng, prof: b, propag: propagation}
 	pa.peer = pb
 	pb.peer = pa
 	return pa, pb
@@ -568,23 +554,12 @@ func (op *txOp) dmaComplete() {
 		p.putData(data)
 		return
 	}
-	peer := p.peer
 	if p.Interceptor == nil {
 		observe(false)
-		// Delivery runs on the receiver's engine. On the same engine the
-		// pooled rx op carries the frame with no new closure; across
-		// partitions it crosses into the peer shard's inbox as a fresh
-		// closure (the rx pool is single-goroutine and must not be recycled
-		// from the peer's shard). Either way the sender-side stats the
-		// delivery bumps (DeliveredFrames/Bytes) are written only by the
-		// peer's shard, disjoint from the fields this path writes.
-		if peer.eng == p.eng {
-			rop := p.getRxOp()
-			rop.frame = Frame{Data: data, SentAt: sentAt}
-			p.eng.At(txDone+p.propag, rop.run)
-		} else {
-			peer.eng.AtFrom(p.eng, txDone+p.propag, func() { p.arrive(data, sentAt) })
-		}
+		// The pooled rx op carries the frame with no new closure.
+		rop := p.getRxOp()
+		rop.frame = Frame{Data: data, SentAt: sentAt}
+		p.eng.At(txDone+p.propag, rop.run)
 		return
 	}
 	// The hardware computed the FCS over the pristine frame; each wire
@@ -617,9 +592,9 @@ func (op *txOp) dmaComplete() {
 			depart = p.txFree
 		}
 		frame := d.Data
-		peer.eng.AtFrom(p.eng, depart+p.propag+extra, func() {
+		p.eng.At(depart+p.propag+extra, func() {
 			if frameFCS(frame) != fcs {
-				peer.RxFCSErrors++
+				p.peer.RxFCSErrors++
 				return
 			}
 			p.arrive(frame, sentAt)
@@ -628,7 +603,7 @@ func (op *txOp) dmaComplete() {
 }
 
 // arrive delivers one intact frame to the peer's handler, charging both
-// ends' delivery stats. It runs on the peer's engine.
+// ends' delivery stats. The interceptor path uses it.
 func (p *Port) arrive(frame []byte, sentAt sim.Time) {
 	peer := p.peer
 	p.DeliveredFrames++
@@ -640,7 +615,7 @@ func (p *Port) arrive(frame []byte, sentAt sim.Time) {
 	}
 }
 
-// deliver is the pooled same-engine delivery: identical to arrive but the
+// deliver is the pooled delivery: identical to arrive but the
 // Frame struct is reused across deliveries.
 func (op *rxOp) deliver() {
 	p := op.p

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -281,25 +284,47 @@ func TestTimerCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-// Property: for any set of non-negative delays, events fire in nondecreasing
-// time order and the engine processes exactly one event per schedule.
+// Property: for any set of non-negative delays, and for the further events
+// callbacks schedule mid-run with zero (ready ring) and nonzero (heap)
+// delays at later Now() values, the fire order is exactly a stable sort of
+// every submitted event by time — ties broken by global submission order.
+// This pins the (at, seq) key directly, and the engine processes exactly
+// one event per schedule.
 func TestEngineOrderProperty(t *testing.T) {
-	f := func(delays []uint16) bool {
+	type submitted struct {
+		at  Time
+		idx int
+	}
+	f := func(delays []uint16, seed int64) bool {
 		e := NewEngine()
-		var times []Time
+		rng := rand.New(rand.NewSource(seed))
+		var subs, fired []submitted
+		var schedule func(d Time, depth int)
+		schedule = func(d Time, depth int) {
+			s := submitted{at: e.Now() + d, idx: len(subs)}
+			subs = append(subs, s)
+			e.After(d, func() {
+				fired = append(fired, submitted{at: e.Now(), idx: s.idx})
+				if depth == 3 {
+					return
+				}
+				for k := rng.Intn(3); k > 0; k-- {
+					var d Time
+					if rng.Intn(2) == 1 {
+						d = Time(1 + rng.Intn(40))
+					}
+					schedule(d, depth+1)
+				}
+			})
+		}
+		// Small top-level delays so same-instant ties are common.
 		for _, d := range delays {
-			e.After(Time(d), func() { times = append(times, e.Now()) })
+			schedule(Time(d%64), 0)
 		}
 		e.Run()
-		if len(times) != len(delays) {
-			return false
-		}
-		for i := 1; i < len(times); i++ {
-			if times[i] < times[i-1] {
-				return false
-			}
-		}
-		return e.Processed() == uint64(len(delays))
+		want := slices.Clone(subs)
+		slices.SortStableFunc(want, func(a, b submitted) int { return cmp.Compare(a.at, b.at) })
+		return slices.Equal(fired, want) && e.Processed() == uint64(len(subs))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

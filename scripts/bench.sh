@@ -1,12 +1,10 @@
 #!/bin/sh
-# Benchmark harness: runs the per-experiment benchmarks three ways — serial
-# (CF_PARALLEL=1), parallel (CF_PARALLEL=0 → GOMAXPROCS sweep workers), and
-# partitioned (CF_PARALLEL=1 CF_PARTITION=1 → the multi-node experiments on
-# per-node event-queue shards) — plus the DES hot-path micro-benchmarks,
-# and folds the results into a JSON perf record via cmd/benchjson. Both
-# speedup ratios only exceed ~1.0 on multi-core hosts (sweep points fan out
-# across goroutines; shards run on worker goroutines between lookahead
-# barriers); the allocs/op columns are deterministic on any host.
+# Benchmark harness: runs the per-experiment benchmarks two ways — serial
+# (CF_PARALLEL=1) and parallel (CF_PARALLEL=0 → GOMAXPROCS sweep workers) —
+# plus the DES hot-path micro-benchmarks, and folds the results into a JSON
+# perf record via cmd/benchjson. The parallel speedup only exceeds ~1.0 on
+# multi-core hosts (sweep points fan out across goroutines); the allocs/op
+# columns are deterministic on any host.
 #
 # The output index is derived from the committed BENCH_*.json sequence:
 # latest index + 1. A hard-coded OUT default silently reused one index
@@ -79,17 +77,10 @@ echo "== parallel pass (CF_PARALLEL=0 -> GOMAXPROCS workers, benchtime=$BENCHTIM
 CF_PARALLEL=0 go test -run '^$' -bench '^Benchmark(Fig|Table|Ext|Cluster|Chaos|Rpc)' \
     -benchmem -benchtime "$BENCHTIME" . | tee artifacts/bench-parallel.txt
 
-echo "== partitioned pass (CF_PARTITION=1 -> per-node event-queue shards, benchtime=$BENCHTIME)"
-# Serial sweep fan-out isolates the partition axis: only the multi-node
-# experiments build partitioned racks, so only those are run here.
-CF_PARALLEL=1 CF_PARTITION=1 go test -run '^$' -bench '^Benchmark(Cluster|Chaos|Rpc)' \
-    -benchmem -benchtime "$BENCHTIME" . | tee artifacts/bench-partitioned.txt
-
 echo "== fold into $OUT"
 go run ./cmd/benchjson \
     -serial artifacts/bench-serial.txt \
     -parallel artifacts/bench-parallel.txt \
-    -partitioned artifacts/bench-partitioned.txt \
     ${PREV:+-prev "$PREV"} \
     -out "$OUT" \
-    -note "Quick scale; parallel pass uses GOMAXPROCS sweep workers and the partitioned pass runs per-node event-queue shards, so speedup_parallel and speedup_partitioned are ~1.0 on single-core hosts (see host_cores) and grow with cores; reports are byte-identical on both axes (fingerprint gates in scripts/check.sh). speedup_vs_prev compares wall-clock against the previous committed record, which may have been taken on a different/differently-loaded host — read it alongside allocs_vs_prev, which is deterministic everywhere."
+    -note "Quick scale; parallel pass uses GOMAXPROCS sweep workers, so speedup_parallel is ~1.0 on single-core hosts (see host_cores) and grows with cores; reports are byte-identical either way (fingerprint gate in scripts/check.sh). speedup_vs_prev compares wall-clock against the previous committed record, which may have been taken on a different/differently-loaded host — read it alongside allocs_vs_prev, which is deterministic everywhere."
