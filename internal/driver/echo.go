@@ -164,18 +164,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 	}
 
 	defer p.DecRef()
-	var (
-		req *baselines.Doc
-		err error
-	)
-	switch s.Sys {
-	case SysProtobuf:
-		req, err = baselines.ProtoUnmarshal(msgs.GetMSchema, p.Bytes(), p.SimAddr(), m)
-	case SysFlatBuffers:
-		req, err = baselines.FBDecode(msgs.GetMSchema, p.Bytes(), p.SimAddr(), m)
-	default:
-		req, err = baselines.CapnpDecode(msgs.GetMSchema, p.Bytes(), p.SimAddr(), m)
-	}
+	req, err := s.Sys.DecodeDoc(msgs.GetMSchema, p.Bytes(), p.SimAddr(), m)
 	if err != nil {
 		s.Errors++
 		return
@@ -185,21 +174,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 	for j, v := range req.F[2].B {
 		resp.AddBytes(2, v, req.F[2].Sim[j])
 	}
-	switch s.Sys {
-	case SysProtobuf:
-		size := baselines.ProtoSize(resp, m)
-		err = s.N.UDP.SendWith(size, func(dst []byte, dstSim uint64) int {
-			return baselines.ProtoMarshal(resp, dst, dstSim, m)
-		})
-	case SysFlatBuffers:
-		buf, bufSim := baselines.FBBuildSim(resp, m)
-		err = s.N.UDP.SendContiguous(buf, bufSim)
-	default:
-		cm := baselines.CapnpBuild(resp, m)
-		segs, sims := baselines.CapnpFlatten(cm)
-		err = s.N.UDP.SendSegments(segs, sims)
-	}
-	if err != nil {
+	if err := s.Sys.SendDoc(s.N.UDP, resp, m); err != nil {
 		s.Errors++
 	}
 }
@@ -246,23 +221,7 @@ func (c *EchoClient) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	for i := 0; i < c.NumFields; i++ {
 		d.AddBytes(2, field, 0)
 	}
-	m := c.N.Meter
-	switch c.Sys {
-	case SysProtobuf:
-		buf := make([]byte, baselines.ProtoSize(d, m))
-		n := baselines.ProtoMarshal(d, buf, m.AllocSimAddr(len(buf)), m)
-		return buf[:n]
-	case SysFlatBuffers:
-		return baselines.FBBuild(d, m)
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, _ := baselines.CapnpFlatten(cm)
-		var out []byte
-		for _, seg := range segs {
-			out = append(out, seg...)
-		}
-		return out
-	}
+	return c.Sys.EncodeDoc(d, c.N.Meter, 0)
 }
 
 // ResponseID implements loadgen.Client.
@@ -273,20 +232,7 @@ func (c *EchoClient) ResponseID(p []byte) (uint64, error) {
 		}
 		return wire.GetU64(p), nil
 	}
-	var (
-		id uint64
-		ok bool
-	)
-	switch c.Sys {
-	case SysCornflakes:
-		id, ok = core.PeekID(p)
-	case SysProtobuf:
-		id, ok = baselines.ProtoPeekID(p)
-	case SysFlatBuffers:
-		id, ok = baselines.FBPeekID(p)
-	default:
-		id, ok = baselines.CapnpPeekID(p)
-	}
+	id, ok := c.Sys.PeekID(p)
 	if !ok {
 		return 0, errShortResponse
 	}

@@ -5,7 +5,6 @@ import (
 
 	"cornflakes/internal/baselines"
 	"cornflakes/internal/core"
-	"cornflakes/internal/msgs"
 	"cornflakes/internal/workloads"
 )
 
@@ -49,114 +48,55 @@ func opByte(op workloads.Op) byte {
 	}
 }
 
-// BuildStep implements loadgen.Client.
+// BuildStep implements loadgen.Client: the op byte, then the request
+// serialized with the client's system. Every op shares one field layout:
+// the id, the key (getM: the key list), then getIndex's index or put's
+// value.
 func (c *KVClient) BuildStep(id uint64, req workloads.Request, step int) []byte {
 	ob := opByte(req.Op)
-	if c.Sys == SysCornflakes {
-		return append([]byte{ob}, c.buildCF(id, req, step)...)
-	}
-	return append([]byte{ob}, c.buildDoc(id, req, step)...)
-}
-
-func (c *KVClient) buildCF(id uint64, req workloads.Request, step int) []byte {
-	ctx := c.N.Ctx
-	defer c.N.Arena.Reset()
-	switch req.Op {
-	case workloads.OpGet:
-		m := msgs.NewGetReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return core.Marshal(m.Obj())
-	case workloads.OpGetM:
-		m := msgs.NewGetM(ctx)
-		m.SetId(id)
-		for _, k := range req.Keys {
-			m.AppendKeys(ctx.NewCFPtr(k))
+	if c.Sys != SysCornflakes {
+		d := baselines.NewDoc(reqSchema(ob))
+		d.SetInt(0, id)
+		if ob == OpByteGetM {
+			for _, k := range req.Keys {
+				d.AddBytes(1, k, 0)
+			}
+		} else {
+			d.SetBytes(1, req.Keys[0], 0)
 		}
-		return core.Marshal(m.Obj())
-	case workloads.OpGetList:
-		m := msgs.NewGetListReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return core.Marshal(m.Obj())
-	case workloads.OpGetIndex:
-		m := msgs.NewGetListReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		m.SetIndex(uint64(step))
-		return core.Marshal(m.Obj())
-	default: // put
-		m := msgs.NewPutReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		m.SetVal(ctx.NewCFPtr(req.Vals[0]))
-		return core.Marshal(m.Obj())
-	}
-}
-
-func (c *KVClient) buildDoc(id uint64, req workloads.Request, step int) []byte {
-	var d *baselines.Doc
-	switch req.Op {
-	case workloads.OpGet:
-		d = baselines.NewDoc(msgs.GetReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-	case workloads.OpGetM:
-		d = baselines.NewDoc(msgs.GetMSchema)
-		d.SetInt(0, id)
-		for _, k := range req.Keys {
-			d.AddBytes(1, k, 0)
+		switch ob {
+		case OpByteGetIndex:
+			d.SetInt(2, uint64(step))
+		case OpBytePut:
+			d.SetBytes(2, req.Vals[0], 0)
 		}
-	case workloads.OpGetList:
-		d = baselines.NewDoc(msgs.GetListReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-	case workloads.OpGetIndex:
-		d = baselines.NewDoc(msgs.GetListReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-		d.SetInt(2, uint64(step))
-	default:
-		d = baselines.NewDoc(msgs.PutReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-		d.SetBytes(2, req.Vals[0], 0)
-	}
-	m := c.N.Meter
-	switch c.Sys {
-	case SysProtobuf:
-		buf := make([]byte, baselines.ProtoSize(d, m))
-		n := baselines.ProtoMarshal(d, buf, m.AllocSimAddr(len(buf)), m)
-		return buf[:n]
-	case SysFlatBuffers:
-		return baselines.FBBuild(d, m)
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, _ := baselines.CapnpFlatten(cm)
-		var out []byte
-		for _, s := range segs {
-			out = append(out, s...)
-		}
+		out := c.Sys.EncodeDoc(d, c.N.Meter, 1)
+		out[0] = ob
 		return out
 	}
+	ctx := c.N.Ctx
+	defer c.N.Arena.Reset()
+	m := core.NewMessage(reqSchema(ob), ctx)
+	m.SetInt(0, id)
+	if ob == OpByteGetM {
+		for _, k := range req.Keys {
+			m.AppendBytes(1, ctx.NewCFPtr(k))
+		}
+	} else {
+		m.SetBytes(1, ctx.NewCFPtr(req.Keys[0]))
+	}
+	switch ob {
+	case OpByteGetIndex:
+		m.SetInt(2, uint64(step))
+	case OpBytePut:
+		m.SetBytes(2, ctx.NewCFPtr(req.Vals[0]))
+	}
+	return append([]byte{ob}, core.Marshal(m)...)
 }
 
 // ResponseID implements loadgen.Client.
 func (c *KVClient) ResponseID(p []byte) (uint64, error) {
-	var (
-		id uint64
-		ok bool
-	)
-	switch c.Sys {
-	case SysCornflakes:
-		id, ok = core.PeekID(p)
-	case SysProtobuf:
-		id, ok = baselines.ProtoPeekID(p)
-	case SysFlatBuffers:
-		id, ok = baselines.FBPeekID(p)
-	default:
-		id, ok = baselines.CapnpPeekID(p)
-	}
+	id, ok := c.Sys.PeekID(p)
 	if !ok {
 		return 0, fmt.Errorf("driver: cannot extract id from %s response", c.Sys)
 	}

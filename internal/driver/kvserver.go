@@ -10,16 +10,17 @@ import (
 	"cornflakes/internal/mem"
 	"cornflakes/internal/msgs"
 	"cornflakes/internal/netstack"
-	"cornflakes/internal/sim"
 	"cornflakes/internal/trace"
 	"cornflakes/internal/workloads"
 )
 
 // KVServer is the custom key-value store application of §6.1.2, serving
 // get / multi-get / list / indexed-get / put requests with a pluggable
-// serialization system. One instance runs per server core.
+// serialization system. One instance runs per server core; the embedded
+// Pipeline carries each request from arrival to reply, and the KV handlers
+// below supply only the per-op work.
 type KVServer struct {
-	N     *Node
+	Pipeline
 	Store *kvstore.Store
 	Sys   System
 
@@ -27,109 +28,34 @@ type KVServer struct {
 	// path (the Table 5 ablation).
 	UseSGArray bool
 
-	// OnReceipt, when set, receives the per-request cycle breakdown
-	// (Figure 11).
-	OnReceipt func(r costmodel.Receipt)
-
-	// Trace, when set, receives per-request marks (queue dispatch, shed)
-	// and the same receipts OnReceipt sees, attributed to the owning flow
-	// by peeked request id. Wire it with AttachKVTracer.
-	Trace *trace.Tracer
-
 	// Adaptive, when set, adjusts the zero-copy threshold between requests
 	// from observed metadata cache behaviour (the §7 dynamic-threshold
 	// extension).
 	Adaptive *core.AdaptiveThreshold
 
-	// Seg, when set, routes requests and responses through the
-	// segmentation layer, lifting the one-jumbo-frame object limit
-	// (the §3.2.3 segmentation extension).
-	Seg *netstack.Segmenter
-
-	// Admission control: beyond these thresholds the server sheds incoming
-	// requests with an explicit ShedReply instead of queueing them. Zero
-	// disables a check. ShedQueue bounds Core.QueueLen (keep the RX ring
-	// from starving ACK and completion traffic); ShedWater is a pinned-pool
-	// occupancy fraction (refuse work the send path could not complete).
-	ShedQueue int
-	ShedWater float64
-
-	// MaxBurst, when ≥ 2, enables the batched RX/TX datapath (EnableBatching
-	// wires it): arriving requests queue in a software RX ring and one core
-	// job drains up to MaxBurst of them, amortizing the per-job dispatch,
-	// the poll-loop share of the RX cost, and — through a bracketed TX batch
-	// flushed at the end of the burst — the reply doorbells. The burst is
-	// adaptive by construction: the drainer serves min(backlog, MaxBurst),
-	// so it collapses to single-request service at low load and only grows
-	// with genuine backlog. At MaxBurst ≤ 1 (or on TCP/segmented servers)
-	// the legacy unbatched path runs, bit-identical to before.
-	MaxBurst int
-
-	// OffloadSer models an RPCAcc/Dagger-style NIC serialization engine:
-	// each request's serialize + deserialize cycles are charged to the
-	// device instead of the host core, so they leave the core's capacity
-	// budget (the receipt still records them — the work happens, it just
-	// runs NIC-side). OffloadedTime accumulates the service time moved off
-	// the host, the observable the Fig 10 offload row divides out.
-	OffloadSer    bool
-	OffloadedTime sim.Time
-	lastSerCy     float64
-
-	// Fault state (driven by faults.ScheduleNodePlan through the FaultNode
-	// interface). Down marks the node crashed: arriving requests are
-	// discarded (counted in DownDrops) and the netstack mirrors the state so
-	// frames die at RX with exact accounting. Slowdown > 1 is gray failure —
-	// the node keeps answering, but every service time is scaled by it, the
-	// degraded-not-dead mode plain timeouts handle worst.
-	Down     bool
-	Slowdown float64
-
-	// rxq is the batched path's software RX ring: requests waiting for the
-	// drainer, bounded by Core.MaxQueue like the core's own queue.
-	rxq []batchedReq
-	// drainerArmed notes that a drainer job is already submitted, so each
-	// backlog needs only one.
-	drainerArmed bool
-
-	// Stats.
-	Handled, Errors uint64
-	// Shed counts requests rejected by admission control (each one got an
-	// explicit reply, or is counted in ShedReplyErrs when even the reply
-	// could not be sent).
-	Shed uint64
-	// ShedReplyErrs counts shed replies the stack refused to transmit; the
-	// client's timeout covers this case.
-	ShedReplyErrs uint64
-	// DownDrops counts requests the crash discarded: work parked in the RX
-	// ring when the node died, plus queued-but-unserved core jobs that fire
-	// while down. Recoveries counts cold restarts.
-	DownDrops  uint64
-	Recoveries uint64
-	// Batch stats: Batches counts drainer runs, BatchedReqs the requests
-	// they served (mean burst = BatchedReqs/Batches), MaxBatch the largest
-	// single burst — the observable for "adaptive sizing engaged".
-	Batches     uint64
-	BatchedReqs uint64
-	MaxBatch    int
+	// fb0 is the context's fallback count when the current request's
+	// service began; vals is the host stage's scratch list of looked-up
+	// values.
+	fb0  uint64
+	vals []*mem.Buf
 }
 
-// batchedReq is one request parked in the batched datapath's software RX
-// ring, carrying the identity peeked at arrival and the arrival time so the
-// drainer can account its true queue wait, plus the requester's fabric
-// address so the reply goes back through the right switch port.
-type batchedReq struct {
-	p      *mem.Buf
-	tid    uint64
-	traced bool
-	enq    sim.Time
-	src    byte
+// kvReply is what a KV handler's host stage (deserialize, app lookups)
+// hands its serialize+tx stage: the op, the request id (baselines) or the
+// decoded request (Cornflakes, released after the send), and the looked-up
+// values (one, possibly nil, for get/index).
+type kvReply struct {
+	op   byte
+	id   uint64
+	req  *core.Message
+	vals []*mem.Buf
 }
 
 // NewKVServer attaches a KV server to the node's stack: UDP normally, or
 // the TCP-lite stack when the node was built with one (the fault-injection
 // soak drives the KV workload over lossy TCP links).
 func NewKVServer(n *Node, sys System) *KVServer {
-	s := &KVServer{N: n, Store: kvstore.New(n.Alloc, n.Meter), Sys: sys}
+	s := newKVServer(n, sys)
 	if n.TCP != nil {
 		n.TCP.SetRecvHandler(s.onPayload)
 	} else {
@@ -143,21 +69,31 @@ func NewKVServer(n *Node, sys System) *KVServer {
 // supported, so e.g. a whole CDN object ships in one exchange instead of
 // one request per jumbo-frame sub-object.
 func NewSegmentedKVServer(n *Node, sys System) *KVServer {
-	s := &KVServer{N: n, Store: kvstore.New(n.Alloc, n.Meter), Sys: sys}
+	s := newKVServer(n, sys)
 	s.Seg = netstack.NewSegmenter(n.UDP)
 	s.Seg.SetRecvHandler(s.onPayload)
 	return s
 }
 
+func newKVServer(n *Node, sys System) *KVServer {
+	s := &KVServer{Store: kvstore.New(n.Alloc, n.Meter), Sys: sys}
+	s.Init(n, trace.PhaseHandle, s.serve)
+	s.observe = s.observeReceipt
+	return s
+}
+
 // Preload loads records into the store and clears measurement state so
 // preloading work is not billed to any request.
+func (s *KVServer) Preload(recs []workloads.KV) { preload(s.N, s.Store, recs) }
+
+// preload is the KV and Redis servers' shared preload.
 //
 // Allocation is interleaved across records segment-by-segment so that the
 // buffers of one multi-segment value are non-contiguous in memory — the
 // paper's store is explicit that "individual values are allocated
 // non-contiguously" (§5.1), and contiguity would let the prefetcher make
 // both copies and refcount walks unrealistically cheap.
-func (s *KVServer) Preload(recs []workloads.KV) {
+func preload(n *Node, store *kvstore.Store, recs []workloads.KV) {
 	maxSegs := 0
 	for _, r := range recs {
 		if len(r.Vals) > maxSegs {
@@ -171,369 +107,70 @@ func (s *KVServer) Preload(recs []workloads.KV) {
 				continue
 			}
 			v := recs[i].Vals[seg]
-			b := s.N.Alloc.Alloc(len(v))
+			b := n.Alloc.Alloc(len(v))
 			copy(b.Bytes(), v)
 			bufs[i] = append(bufs[i], b)
 		}
 	}
 	for i, r := range recs {
-		s.Store.PutBuf(r.Key, bufs[i]...)
+		store.PutBuf(r.Key, bufs[i]...)
 	}
-	s.N.Meter.Drain()
-	s.N.Meter.TakeReceipt()
+	n.Meter.Drain()
+	n.Meter.TakeReceipt()
 }
 
 // Deliver injects a request payload directly (used by the multi-core
 // dispatcher, which performs its own RX handling).
 func (s *KVServer) Deliver(p *mem.Buf) { s.onPayload(p) }
 
-// EnableBatching turns on the batched RX/TX datapath with the given burst
-// cap and tells the UDP stack to split its RX charge accordingly. A cap of
-// 1 (or less) selects the legacy unbatched path — that is the adaptive
-// floor, and the determinism gate relies on it being bit-identical.
-func (s *KVServer) EnableBatching(maxBurst int) {
-	s.MaxBurst = maxBurst
-	if s.N.UDP != nil {
-		s.N.UDP.RxBatched = s.batched()
-	}
-}
-
-// batched reports whether the batched datapath is active. TCP and
-// segmented servers always use the legacy path: their replies flow through
-// connection state the TX batch bracket does not cover.
-func (s *KVServer) batched() bool {
-	return s.MaxBurst >= 2 && s.N.TCP == nil && s.Seg == nil
-}
-
-// Crash kills the node: the netstack starts discarding arriving frames
-// (counted there in RxDownDrops) and every request parked in the software
-// RX ring dies with the process — dropped with exact accounting, never
-// served. A job already executing on the core at the crash instant
-// completes (the model's jobs are atomic units of service); queued core
-// jobs that fire while down are discarded by the Down check in their Run.
-func (s *KVServer) Crash() {
-	s.Down = true
-	if s.N.UDP != nil {
-		s.N.UDP.Down = true
-	}
-	for i := range s.rxq {
-		s.DownDrops++
-		s.rxq[i].p.DecRef()
-		s.rxq[i] = batchedReq{}
-	}
-	s.rxq = s.rxq[:0]
-}
-
-// Recover restarts the node cold: the netstack accepts frames again and
-// the cache-hierarchy state is flushed — a rebooted machine has no warm
-// lines, so post-recovery requests pay cold-cache service costs until the
-// working set re-warms. The store itself survives (modelling durable or
-// replicated data); what a crash loses is in-flight work and cache heat.
-func (s *KVServer) Recover() {
-	s.Down = false
-	if s.N.UDP != nil {
-		s.N.UDP.Down = false
-	}
-	s.N.Cache.Flush()
-	s.Recoveries++
-}
-
-// SetGray sets the gray-failure service-time multiplier; k ≤ 1 restores
-// healthy service.
-func (s *KVServer) SetGray(slowdown float64) {
-	if slowdown <= 1 {
-		s.Slowdown = 0
-		return
-	}
-	s.Slowdown = slowdown
-}
-
-// hostTime deducts the offloaded serialization share from one request's
-// drained service time (a no-op unless OffloadSer is set). It must run on
-// the drain taken right after handle, while lastSerCy still describes that
-// request's receipt; the deduction is clamped so frame-delivery work folded
-// into the same drain can never go negative.
-func (s *KVServer) hostTime(d sim.Time) sim.Time {
-	if !s.OffloadSer {
-		return d
-	}
-	off := s.N.Meter.CPU.Cycles(s.lastSerCy)
-	s.lastSerCy = 0
-	if off > d {
-		off = d
-	}
-	s.OffloadedTime += off
-	return d - off
-}
-
-// scaled applies the gray-failure multiplier to one service time.
-func (s *KVServer) scaled(d sim.Time) sim.Time {
-	if s.Slowdown > 1 {
-		return sim.Time(float64(d) * s.Slowdown)
-	}
-	return d
-}
-
-// PendingDepth is the server's total request backlog: the batched path's
-// software RX ring plus the core's own queue. On the unbatched path the
-// ring is always empty, so this equals Core.QueueLen — admission control
-// and the queue-depth gauge use it so both datapaths shed and report on
-// the same signal.
-func (s *KVServer) PendingDepth() int { return len(s.rxq) + s.N.Core.QueueLen() }
-
+// onPayload is the rx stage: capture the requester's address, peek the
+// request id when tracing (unmetered — tracing is observability, not
+// modelled work), and hand the request to admission. A shed request is
+// answered at frame-delivery time, before it consumes a core slot, so the
+// rejection costs only the peek and a header-sized send.
 func (s *KVServer) onPayload(p *mem.Buf) {
-	// Capture the requester's fabric address now: by the time the core job
-	// runs (or the drainer reaches the request), later frames will have
-	// overwritten the stack's RxSrc. Zero outside a fabric topology.
-	var src byte
+	r := Req{P: p}
 	if s.N.UDP != nil {
-		src = s.N.UDP.RxSrc
+		r.Src = s.N.UDP.RxSrc
 	}
-	if (s.ShedQueue > 0 && s.PendingDepth() >= s.ShedQueue) ||
-		(s.ShedWater > 0 && s.N.Alloc.Occupancy() >= s.ShedWater) {
-		s.setReplyAddr(src)
-		s.shed(p)
-		return
-	}
-	// Peek the request id once (unmetered — tracing is observability, not
-	// modelled work) so the dispatch mark and the receipt can be attributed
-	// to the owning flow.
-	var tid uint64
-	traced := false
 	if s.Trace != nil {
-		tid, traced = s.reqID(p.Bytes())
+		r.ID, r.Traced = s.reqID(p.Bytes())
 	}
-	if s.batched() {
-		s.enqueue(p, tid, traced, src)
+	if s.Accept(r) {
 		return
 	}
-	ok := s.N.Core.Submit(sim.Job{
-		Start: func(enqueuedAt sim.Time) {
-			if traced {
-				s.Trace.Mark(tid, s.N.Eng.Now(), trace.PhaseHandle)
-			}
-		},
-		Run: func() sim.Time {
-			if s.Down {
-				// The node crashed after this request was queued: the work
-				// dies with the process, costing no (dead) CPU.
-				s.DownDrops++
-				p.DecRef()
-				return 0
-			}
-			s.setReplyAddr(src)
-			s.handle(p, tid, traced)
-			return s.scaled(s.hostTime(s.N.Meter.DrainTime()))
-		},
-	})
-	if !ok {
-		if traced {
-			s.Trace.Note(tid, "request dropped: rx ring overflow")
-		}
-		p.DecRef() // RX ring overflow: drop
-	}
-}
-
-// enqueue parks a request in the software RX ring and makes sure a drainer
-// job is pending. The ring honours the same bound as the core queue
-// (Core.MaxQueue — the RX descriptor ring depth), with overflow counted in
-// the same Dropped stat.
-func (s *KVServer) enqueue(p *mem.Buf, tid uint64, traced bool, src byte) {
-	c := s.N.Core
-	if c.MaxQueue > 0 && len(s.rxq) >= c.MaxQueue {
-		c.NoteDrop()
-		if traced {
-			s.Trace.Note(tid, "request dropped: rx ring overflow")
-		}
-		p.DecRef()
-		return
-	}
-	s.rxq = append(s.rxq, batchedReq{p: p, tid: tid, traced: traced, enq: s.N.Eng.Now(), src: src})
-	s.armDrainer()
-}
-
-// setReplyAddr points the stack's next sends at the requester's fabric
-// address. Outside a fabric topology src is always zero, leaving the
-// header bytes exactly as single-link testbeds always wrote them.
-func (s *KVServer) setReplyAddr(src byte) {
-	if s.N.UDP != nil {
-		s.N.UDP.DstAddr = src
-	}
-}
-
-// armDrainer submits one drainer job unless one is already pending. The
-// job carries ExternalWait: the drainer accounts each request's wait
-// itself, because the job-level wait describes the drainer, not the
-// requests it will serve.
-func (s *KVServer) armDrainer() {
-	if s.drainerArmed {
-		return
-	}
-	s.drainerArmed = true
-	if !s.N.Core.Submit(sim.Job{ExternalWait: true, Run: s.drain}) {
-		s.drainerArmed = false // queue bound hit; the backlog re-arms on next arrival
-	}
-}
-
-// drain is one batched core job: it serves min(backlog, MaxBurst) requests
-// back to back, bracketing their replies in a TX batch flushed at the end,
-// and returns the summed service time. Per-request accounting is kept
-// exact: request i's queue wait is its time in the ring plus the service
-// of the i−1 batch members ahead of it (AccountWait), and each request's
-// receipt is taken by handle as usual — the flush's doorbell cycles land
-// in the drain total so the core stays busy for every cycle charged.
-func (s *KVServer) drain() sim.Time {
-	s.drainerArmed = false
-	b := len(s.rxq)
-	if b > s.MaxBurst {
-		b = s.MaxBurst
-	}
-	if b == 0 {
-		return 0
-	}
-	m := s.N.Meter
-	t0 := s.N.Eng.Now()
-	// One poll-loop iteration for the whole burst: the share onFrame
-	// withheld per frame (RxBatched).
-	m.Charge(m.CPU.RxPollCy)
-	flush := b > 1
-	if flush {
-		s.N.UDP.BeginTxBatch()
-	}
-	var total, cum sim.Time
-	for i := 0; i < b; i++ {
-		r := s.rxq[i]
-		s.N.Core.AccountWait(t0 - r.enq + cum)
-		if r.traced {
-			s.Trace.Mark(r.tid, t0, trace.PhaseHandle)
-			if flush {
-				s.Trace.Note(r.tid, fmt.Sprintf("batched: burst=%d pos=%d", b, i))
-			}
-		}
-		// Reply headers are written at send time inside handle, so pointing
-		// the stack at this request's source here is sufficient even though
-		// the TX batch flushes after the burst.
-		s.setReplyAddr(r.src)
-		s.handle(r.p, r.tid, r.traced)
-		d := s.scaled(s.hostTime(m.DrainTime()))
-		cum += d
-		total += d
-	}
-	// Shift the served requests out, zeroing the tail so the backing array
-	// does not pin buffers.
-	n := copy(s.rxq, s.rxq[b:])
-	for i := n; i < len(s.rxq); i++ {
-		s.rxq[i] = batchedReq{}
-	}
-	s.rxq = s.rxq[:n]
-	if flush {
-		prev := m.SetCategory(costmodel.CatTx)
-		if err := s.N.UDP.FlushTx(); err != nil {
-			s.Errors++
-		}
-		m.SetCategory(prev)
-		total += s.scaled(m.DrainTime())
-	}
-	s.Batches++
-	s.BatchedReqs += uint64(b)
-	if b > s.MaxBatch {
-		s.MaxBatch = b
-	}
-	if len(s.rxq) > 0 {
-		s.armDrainer()
-	}
-	return total
-}
-
-// reqID peeks the request id out of a framed request payload without a
-// full (metered) deserialization — just enough to address a shed reply.
-func (s *KVServer) reqID(p []byte) (uint64, bool) {
-	return peekRequestID(s.Sys, p)
-}
-
-// shed rejects a request with an explicit ShedReply. The check runs at
-// frame-delivery time (before the request consumes a core slot), so the
-// reply costs the server only the peek and a header-sized send — that is
-// the point: shedding must stay cheap when the server cannot afford work.
-func (s *KVServer) shed(p *mem.Buf) {
 	defer p.DecRef()
-	id, ok := s.reqID(p.Bytes())
-	if !ok {
+	if id, ok := s.reqID(p.Bytes()); ok {
+		s.shedReplyTo(id, r.Src)
+	} else {
 		// Unparseable request: no id to address, nothing to reply to.
 		s.Shed++
 		s.ShedReplyErrs++
-		return
 	}
-	s.shedReplyTo(id)
+}
+
+// reqID peeks the request id out of a framed request payload (op byte +
+// serialized body) without a metered deserialization.
+func (s *KVServer) reqID(p []byte) (uint64, bool) {
+	if len(p) < 2 {
+		return 0, false
+	}
+	return s.Sys.PeekID(p[1:])
 }
 
 // shedReplyTo sends the explicit rejection for a request id, counting it.
 // Also used mid-handling when a put's allocation fails: the client gets a
 // shed reply instead of a dropped request.
-//
-// The work is billed to CatShed: the fast path runs at frame-delivery time,
-// when the meter still carries whatever category the previous request left
-// active — without the explicit category, overload-regime breakdowns would
-// smear shed cycles across unrelated buckets.
-func (s *KVServer) shedReplyTo(id uint64) {
-	m := s.N.Meter
-	prev := m.SetCategory(costmodel.CatShed)
-	defer m.SetCategory(prev)
-	if s.Trace != nil {
-		s.Trace.Mark(id, s.N.Eng.Now(), trace.PhaseShed)
-	}
+func (s *KVServer) shedReplyTo(id uint64, src byte) {
 	s.Shed++
-	reply := ShedReply(id)
-	sim := mem.UnpinnedSimAddr(reply)
-	var err error
-	switch {
-	case s.Seg != nil:
-		err = s.Seg.SendContiguous(reply, sim)
-	case s.N.TCP != nil:
-		err = s.N.TCP.SendContiguous(reply, sim)
-	default:
-		// The UDP fast path: prebuilt reply, batched posting. Shedding has
-		// to cost far less than serving or it cannot relieve the core.
-		err = s.N.UDP.SendPrebuilt(reply, sim)
-	}
-	if err != nil {
-		s.ShedReplyErrs++
-	}
+	s.Reject(id, src, id, trace.PhaseShed)
 }
 
-// handle serves one request at its dispatch instant. tid/traced carry the
-// request id peeked at submit time, so the receipt can be attributed to the
-// owning flow (Run executes synchronously at dispatch, so Now() inside the
-// deferred block is still the dispatch instant the service spans tile
-// from).
-func (s *KVServer) handle(p *mem.Buf, tid uint64, traced bool) {
-	m := s.N.Meter
+// serve is the host stage of one request at its dispatch instant.
+func (s *KVServer) serve(r Req) {
 	s.Handled++
-	fb0 := s.N.Ctx.Fallbacks
-	defer func() {
-		// Mass-free the per-request copied vectors (§3.2.2) and attribute
-		// inter-request work (completions, next RX) to the rx bucket.
-		s.N.Arena.Reset()
-		rec := m.TakeReceipt()
-		s.lastSerCy = rec.Cycles[costmodel.CatSerialize] + rec.Cycles[costmodel.CatDeserialize]
-		if s.OnReceipt != nil {
-			s.OnReceipt(rec)
-		}
-		if s.Trace != nil {
-			if traced {
-				if fb := s.N.Ctx.Fallbacks - fb0; fb > 0 {
-					s.Trace.Note(tid, fmt.Sprintf("copy fallback: %d field(s) demoted under pressure", fb))
-				}
-				s.Trace.ServiceReceipt(tid, s.N.Eng.Now(), rec)
-			} else {
-				s.Trace.AggregateOnly(rec)
-			}
-		}
-		if s.Adaptive != nil {
-			s.Adaptive.Observe()
-		}
-		m.SetCategory(costmodel.CatRx)
-	}()
+	s.fb0 = s.N.Ctx.Fallbacks
+	p := r.P
 	if p.Len() < 2 {
 		s.Errors++
 		p.DecRef()
@@ -543,10 +180,259 @@ func (s *KVServer) handle(p *mem.Buf, tid uint64, traced bool) {
 	if s.Sys == SysCornflakes {
 		body := p.SubView(1, p.Len()-1)
 		p.DecRef()
-		s.handleCF(op, body)
+		s.handleCF(op, body, r.Src)
 		return
 	}
-	s.handleDoc(op, p)
+	s.handleDoc(op, p, r.Src)
+}
+
+// observeReceipt attributes a served request's receipt to its flow (by the
+// id peeked at arrival) and feeds the adaptive threshold.
+func (s *KVServer) observeReceipt(r Req, rec costmodel.Receipt) {
+	if s.Trace != nil {
+		if r.Traced {
+			if fb := s.N.Ctx.Fallbacks - s.fb0; fb > 0 {
+				s.Trace.Note(r.ID, fmt.Sprintf("copy fallback: %d field(s) demoted under pressure", fb))
+			}
+			// Run executes synchronously at dispatch, so Now() is still the
+			// dispatch instant the service spans tile from.
+			s.Trace.ServiceReceipt(r.ID, s.N.Eng.Now(), rec)
+		} else {
+			s.Trace.AggregateOnly(rec)
+		}
+	}
+	if s.Adaptive != nil {
+		s.Adaptive.Observe()
+	}
+}
+
+// reply runs the serialize+tx stage: inline on the host core, or as a job
+// on the offload core. The offload stage runs after later host jobs, so it
+// gets its own copy of the value list and holds a reference on each value
+// until it has been sent — a put in between cannot free it.
+func (s *KVServer) reply(r kvReply, src byte) {
+	if s.Offload == nil {
+		s.emit(r)
+		return
+	}
+	o := r
+	o.vals = append([]*mem.Buf(nil), r.vals...)
+	hold(o.vals, (*mem.Buf).IncRef)
+	ok := s.OffloadStage(src, func() {
+		s.emit(o)
+		hold(o.vals, (*mem.Buf).DecRef)
+	})
+	if !ok {
+		if o.req != nil {
+			o.req.Release()
+		}
+		hold(o.vals, (*mem.Buf).DecRef)
+	}
+}
+
+// hold applies a refcount operation to every non-nil value.
+func hold(vals []*mem.Buf, op func(*mem.Buf)) {
+	for _, v := range vals {
+		if v != nil {
+			op(v)
+		}
+	}
+}
+
+// handleCF is the Cornflakes host stage: deserialize, then the app
+// lookup (or store update) under CatApp.
+func (s *KVServer) handleCF(op byte, body *mem.Buf, src byte) {
+	m := s.N.Meter
+	m.SetCategory(costmodel.CatDeserialize)
+	schema := reqSchema(op)
+	if schema == nil {
+		s.Errors++
+		body.DecRef()
+		return
+	}
+	req, err := s.N.Ctx.Deserialize(schema, body)
+	if err != nil {
+		s.Errors++
+		body.DecRef()
+		return
+	}
+	m.SetCategory(costmodel.CatApp)
+	r := kvReply{op: op, req: req}
+	switch op {
+	case OpByteGet:
+		s.vals = append(s.vals[:0], s.Store.Get(req.GetBytes(1)))
+	case OpByteGetM:
+		s.vals = s.vals[:0]
+		for j, n := 0, req.ListLen(1); j < n; j++ {
+			s.vals = append(s.vals, s.Store.Get(req.GetBytesElem(1, j)))
+		}
+	case OpByteGetList:
+		s.vals = append(s.vals[:0], s.Store.GetList(req.GetBytes(1))...)
+	case OpByteGetIndex:
+		s.vals = append(s.vals[:0], s.Store.GetIndex(req.GetBytes(1), int(req.GetInt(2))))
+	case OpBytePut:
+		if err := s.Store.TryPut(req.GetBytes(1), req.GetBytes(2)); err != nil {
+			// Pinned pool full: the store is unchanged; tell the client
+			// explicitly instead of dropping the request.
+			m.SetCategory(costmodel.CatTx)
+			s.shedReplyTo(req.GetInt(0), src)
+			req.Release()
+			return
+		}
+		s.vals = s.vals[:0]
+	}
+	r.vals = s.vals
+	s.reply(r, src)
+}
+
+// handleDoc is the baseline-serializer host stage.
+func (s *KVServer) handleDoc(op byte, p *mem.Buf, src byte) {
+	m := s.N.Meter
+	defer p.DecRef()
+	schema := reqSchema(op)
+	if schema == nil {
+		s.Errors++
+		return
+	}
+	m.SetCategory(costmodel.CatDeserialize)
+	req, err := s.Sys.DecodeDoc(schema, p.Bytes()[1:], p.SimAddr()+1, m)
+	if err != nil {
+		s.Errors++
+		return
+	}
+	r := kvReply{op: op, id: req.F[0].I}
+	m.SetCategory(costmodel.CatApp)
+	switch op {
+	case OpByteGet:
+		s.vals = append(s.vals[:0], s.Store.Get(docBytes(req, 1)))
+	case OpByteGetM:
+		s.vals = s.vals[:0]
+		for _, k := range req.F[1].B {
+			s.vals = append(s.vals, s.Store.Get(k))
+		}
+	case OpByteGetList:
+		s.vals = append(s.vals[:0], s.Store.GetList(docBytes(req, 1))...)
+	case OpByteGetIndex:
+		s.vals = append(s.vals[:0], s.Store.GetIndex(docBytes(req, 1), int(req.F[2].I)))
+	case OpBytePut:
+		if err := s.Store.TryPut(docBytes(req, 1), docBytes(req, 2)); err != nil {
+			m.SetCategory(costmodel.CatTx)
+			s.shedReplyTo(r.id, src)
+			return
+		}
+		s.vals = s.vals[:0]
+	}
+	r.vals = s.vals
+	s.reply(r, src)
+}
+
+// reqSchema maps an op byte to its request schema.
+func reqSchema(op byte) *core.Schema {
+	switch op {
+	case OpByteGet:
+		return msgs.GetReqSchema
+	case OpByteGetM:
+		return msgs.GetMSchema
+	case OpByteGetList, OpByteGetIndex:
+		return msgs.GetListReqSchema
+	case OpBytePut:
+		return msgs.PutReqSchema
+	}
+	return nil
+}
+
+// docBytes safely extracts a scalar bytes field from a decoded request.
+func docBytes(d *baselines.Doc, i int) []byte {
+	if i < len(d.F) && len(d.F[i].B) > 0 {
+		return d.F[i].B[0]
+	}
+	return nil
+}
+
+// emit is the serialize+tx stage: build the response and send it.
+func (s *KVServer) emit(r kvReply) {
+	m := s.N.Meter
+	m.SetCategory(costmodel.CatSerialize)
+	if s.Sys != SysCornflakes {
+		if err := s.Sys.SendDoc(s.N.UDP, buildDoc(r), m); err != nil {
+			s.Errors++
+		}
+		m.SetCategory(costmodel.CatTx)
+		return
+	}
+	resp := s.buildCF(r)
+	s.sendObj(resp)
+	m.SetCategory(costmodel.CatTx)
+	resp.Release()
+	r.req.Release()
+}
+
+// buildCF builds the Cornflakes response: values at or above the zero-copy
+// threshold become scatter-gather pointers into the store.
+func (s *KVServer) buildCF(r kvReply) *core.Message {
+	ctx := s.N.Ctx
+	switch r.op {
+	case OpByteGetM:
+		resp := msgs.NewGetM(ctx)
+		resp.SetId(r.req.GetInt(0))
+		for _, v := range r.vals {
+			if v != nil {
+				resp.AppendVals(ctx.NewCFPtr(v.Bytes()))
+			}
+		}
+		return resp.M
+	case OpByteGetList:
+		resp := msgs.NewGetListResp(ctx)
+		resp.SetId(r.req.GetInt(0))
+		for _, v := range r.vals {
+			resp.AppendVals(ctx.NewCFPtr(v.Bytes()))
+		}
+		return resp.M
+	case OpBytePut:
+		resp := msgs.NewPutResp(ctx)
+		resp.SetId(r.req.GetInt(0))
+		resp.SetOk(1)
+		return resp.M
+	default: // get, indexed get
+		resp := msgs.NewGetResp(ctx)
+		resp.SetId(r.req.GetInt(0))
+		if v := r.vals[0]; v != nil {
+			resp.SetVal(ctx.NewCFPtr(v.Bytes()))
+		}
+		return resp.M
+	}
+}
+
+// buildDoc builds the baseline response document.
+func buildDoc(r kvReply) *baselines.Doc {
+	var d *baselines.Doc
+	switch r.op {
+	case OpByteGetM:
+		d = baselines.NewDoc(msgs.GetMSchema)
+		d.SetInt(0, r.id)
+		for _, v := range r.vals {
+			if v != nil {
+				d.AddBytes(2, v.Bytes(), v.SimAddr())
+			}
+		}
+	case OpByteGetList:
+		d = baselines.NewDoc(msgs.GetListRespSchema)
+		d.SetInt(0, r.id)
+		for _, v := range r.vals {
+			d.AddBytes(1, v.Bytes(), v.SimAddr())
+		}
+	case OpBytePut:
+		d = baselines.NewDoc(msgs.PutRespSchema)
+		d.SetInt(0, r.id)
+		d.SetInt(1, 1)
+	default: // get, indexed get
+		d = baselines.NewDoc(msgs.GetRespSchema)
+		d.SetInt(0, r.id)
+		if v := r.vals[0]; v != nil {
+			d.SetBytes(1, v.Bytes(), v.SimAddr())
+		}
+	}
+	return d
 }
 
 // sendObj transmits a Cornflakes object on the configured path. The
@@ -567,267 +453,4 @@ func (s *KVServer) sendObj(obj core.Obj) {
 	if err != nil {
 		s.Errors++
 	}
-}
-
-func (s *KVServer) handleCF(op byte, body *mem.Buf) {
-	m := s.N.Meter
-	ctx := s.N.Ctx
-	m.SetCategory(costmodel.CatDeserialize)
-	switch op {
-	case OpByteGet:
-		req, err := msgs.DeserializeGetReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		m.SetCategory(costmodel.CatApp)
-		val := s.Store.Get(req.Key())
-		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewGetResp(ctx)
-		resp.SetId(req.Id())
-		if val != nil {
-			resp.SetVal(ctx.NewCFPtr(val.Bytes()))
-		}
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
-
-	case OpByteGetM:
-		req, err := msgs.DeserializeGetM(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		resp := msgs.NewGetM(ctx)
-		resp.SetId(req.Id())
-		n := req.KeysLen()
-		for j := 0; j < n; j++ {
-			m.SetCategory(costmodel.CatApp)
-			val := s.Store.Get(req.Keys(j))
-			m.SetCategory(costmodel.CatSerialize)
-			if val != nil {
-				resp.AppendVals(ctx.NewCFPtr(val.Bytes()))
-			}
-		}
-		m.SetCategory(costmodel.CatSerialize)
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
-
-	case OpByteGetList:
-		req, err := msgs.DeserializeGetListReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		m.SetCategory(costmodel.CatApp)
-		vals := s.Store.GetList(req.Key())
-		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewGetListResp(ctx)
-		resp.SetId(req.Id())
-		for _, v := range vals {
-			resp.AppendVals(ctx.NewCFPtr(v.Bytes()))
-		}
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
-
-	case OpByteGetIndex:
-		req, err := msgs.DeserializeGetListReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		m.SetCategory(costmodel.CatApp)
-		val := s.Store.GetIndex(req.Key(), int(req.Index()))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewGetResp(ctx)
-		resp.SetId(req.Id())
-		if val != nil {
-			resp.SetVal(ctx.NewCFPtr(val.Bytes()))
-		}
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
-
-	case OpBytePut:
-		req, err := msgs.DeserializePutReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		m.SetCategory(costmodel.CatApp)
-		if err := s.Store.TryPut(req.Key(), req.Val()); err != nil {
-			// Pinned pool full: the store is unchanged; tell the client
-			// explicitly instead of dropping the request.
-			m.SetCategory(costmodel.CatTx)
-			s.shedReplyTo(req.Id())
-			req.Release()
-			return
-		}
-		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewPutResp(ctx)
-		resp.SetId(req.Id())
-		resp.SetOk(1)
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
-
-	default:
-		s.Errors++
-		body.DecRef()
-	}
-}
-
-// reqSchema maps an op byte to its request schema.
-func reqSchema(op byte) *core.Schema {
-	switch op {
-	case OpByteGet:
-		return msgs.GetReqSchema
-	case OpByteGetM:
-		return msgs.GetMSchema
-	case OpByteGetList, OpByteGetIndex:
-		return msgs.GetListReqSchema
-	case OpBytePut:
-		return msgs.PutReqSchema
-	}
-	return nil
-}
-
-func (s *KVServer) decodeDoc(schema *core.Schema, data []byte, sim uint64) (*baselines.Doc, error) {
-	m := s.N.Meter
-	switch s.Sys {
-	case SysProtobuf:
-		return baselines.ProtoUnmarshal(schema, data, sim, m)
-	case SysFlatBuffers:
-		return baselines.FBDecode(schema, data, sim, m)
-	default:
-		return baselines.CapnpDecode(schema, data, sim, m)
-	}
-}
-
-func (s *KVServer) sendDoc(d *baselines.Doc) {
-	m := s.N.Meter
-	var err error
-	switch s.Sys {
-	case SysProtobuf:
-		// Protobuf serializes from its structs directly into DMA-safe
-		// memory (§6.1.3): one copy of field data.
-		size := baselines.ProtoSize(d, m)
-		err = s.N.UDP.SendWith(size, func(dst []byte, dstSim uint64) int {
-			return baselines.ProtoMarshal(d, dst, dstSim, m)
-		})
-	case SysFlatBuffers:
-		buf, bufSim := baselines.FBBuildSim(d, m)
-		err = s.N.UDP.SendContiguous(buf, bufSim)
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, sims := baselines.CapnpFlatten(cm)
-		err = s.N.UDP.SendSegments(segs, sims)
-	}
-	if err != nil {
-		s.Errors++
-	}
-}
-
-// docBytes safely extracts a scalar bytes field from a decoded request.
-func docBytes(d *baselines.Doc, i int) []byte {
-	if i < len(d.F) && len(d.F[i].B) > 0 {
-		return d.F[i].B[0]
-	}
-	return nil
-}
-
-func (s *KVServer) handleDoc(op byte, p *mem.Buf) {
-	m := s.N.Meter
-	defer p.DecRef()
-	data := p.Bytes()[1:]
-	sim := p.SimAddr() + 1
-	schema := reqSchema(op)
-	if schema == nil {
-		s.Errors++
-		return
-	}
-	m.SetCategory(costmodel.CatDeserialize)
-	req, err := s.decodeDoc(schema, data, sim)
-	if err != nil {
-		s.Errors++
-		return
-	}
-	id := req.F[0].I
-
-	switch op {
-	case OpByteGet:
-		m.SetCategory(costmodel.CatApp)
-		val := s.Store.Get(docBytes(req, 1))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.GetRespSchema)
-		resp.SetInt(0, id)
-		if val != nil {
-			resp.SetBytes(1, val.Bytes(), val.SimAddr())
-		}
-		s.sendDoc(resp)
-
-	case OpByteGetM:
-		resp := baselines.NewDoc(msgs.GetMSchema)
-		resp.SetInt(0, id)
-		for _, k := range req.F[1].B {
-			m.SetCategory(costmodel.CatApp)
-			val := s.Store.Get(k)
-			m.SetCategory(costmodel.CatSerialize)
-			if val != nil {
-				resp.AddBytes(2, val.Bytes(), val.SimAddr())
-			}
-		}
-		s.sendDoc(resp)
-
-	case OpByteGetList:
-		m.SetCategory(costmodel.CatApp)
-		vals := s.Store.GetList(docBytes(req, 1))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.GetListRespSchema)
-		resp.SetInt(0, id)
-		for _, v := range vals {
-			resp.AddBytes(1, v.Bytes(), v.SimAddr())
-		}
-		s.sendDoc(resp)
-
-	case OpByteGetIndex:
-		m.SetCategory(costmodel.CatApp)
-		val := s.Store.GetIndex(docBytes(req, 1), int(req.F[2].I))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.GetRespSchema)
-		resp.SetInt(0, id)
-		if val != nil {
-			resp.SetBytes(1, val.Bytes(), val.SimAddr())
-		}
-		s.sendDoc(resp)
-
-	case OpBytePut:
-		m.SetCategory(costmodel.CatApp)
-		if err := s.Store.TryPut(docBytes(req, 1), docBytes(req, 2)); err != nil {
-			m.SetCategory(costmodel.CatTx)
-			s.shedReplyTo(id)
-			return
-		}
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.PutRespSchema)
-		resp.SetInt(0, id)
-		resp.SetInt(1, 1)
-		s.sendDoc(resp)
-
-	default:
-		s.Errors++
-	}
-	m.SetCategory(costmodel.CatTx)
 }

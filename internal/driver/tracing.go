@@ -3,8 +3,6 @@ package driver
 import (
 	"fmt"
 
-	"cornflakes/internal/baselines"
-	"cornflakes/internal/core"
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/trace"
@@ -13,45 +11,8 @@ import (
 // Tracer wiring: the trace package identifies a request by its wire id (the
 // loadgen's request id), so every layer that observes a frame needs a cheap
 // way to peek the id out of raw payload bytes. Requests carry a one-byte op
-// tag ahead of the serialized body; responses are the bare serialized
-// object, or a ShedReply.
-
-// peekRequestID extracts the request id from a framed request payload (op
-// byte + serialized body) without a metered deserialization.
-func peekRequestID(sys System, p []byte) (uint64, bool) {
-	if len(p) < 2 {
-		return 0, false
-	}
-	body := p[1:]
-	switch sys {
-	case SysCornflakes:
-		return core.PeekID(body)
-	case SysProtobuf:
-		return baselines.ProtoPeekID(body)
-	case SysFlatBuffers:
-		return baselines.FBPeekID(body)
-	default:
-		return baselines.CapnpPeekID(body)
-	}
-}
-
-// peekResponseID extracts the request id from a response payload — a
-// ShedReply or a bare serialized response object.
-func peekResponseID(sys System, p []byte) (uint64, bool) {
-	if id, ok := ShedID(p); ok {
-		return id, true
-	}
-	switch sys {
-	case SysCornflakes:
-		return core.PeekID(p)
-	case SysProtobuf:
-		return baselines.ProtoPeekID(p)
-	case SysFlatBuffers:
-		return baselines.FBPeekID(p)
-	default:
-		return baselines.CapnpPeekID(p)
-	}
-}
+// tag ahead of the serialized body (KVServer.reqID); responses are the bare
+// serialized object, or a ShedReply.
 
 // AttachTracer wires a tracer into a testbed's transport layers, using the
 // given peek functions to map frames back to request ids:
@@ -149,10 +110,12 @@ func AttachTracer(tb *Testbed, tr *trace.Tracer,
 // the server-side hooks (PhaseHandle at core dispatch, PhaseShed on
 // admission-control rejection, per-request receipts) via KVServer.Trace.
 func AttachKVTracer(tb *Testbed, srv *KVServer, tr *trace.Tracer) {
-	sys := srv.Sys
-	AttachTracer(tb, tr,
-		func(p []byte) (uint64, bool) { return peekRequestID(sys, p) },
-		func(p []byte) (uint64, bool) { return peekResponseID(sys, p) })
+	AttachTracer(tb, tr, srv.reqID, func(p []byte) (uint64, bool) {
+		if id, ok := ShedID(p); ok {
+			return id, true
+		}
+		return srv.Sys.PeekID(p)
+	})
 	srv.Trace = tr
 }
 

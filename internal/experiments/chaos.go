@@ -289,7 +289,7 @@ func Chaos(sc Scale) *Report {
 	}
 
 	// Per-node capacity probe, identical to the cluster experiment's.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+	capRes := capacityOf(func(rate float64) (loadgen.Result, float64) {
 		gen := workloads.NewYCSBTheta(sc.StoreKeys, 128, 1, clusterBalancedTheta)
 		c := driver.NewClusterTestbed(1, 1, driver.SysCornflakes,
 			nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
@@ -302,7 +302,7 @@ func Chaos(sc Scale) *Report {
 			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 			Seed:     41, ClientID: 1,
 		})
-		return res, c.Servers[0].N.Core
+		return res, c.Servers[0].N.Core.Utilization()
 	}, 100_000)
 	capRps := capRes.AchievedRps
 	if capRps <= 0 {

@@ -223,7 +223,7 @@ func Cluster(sc Scale) *Report {
 	// Per-node capacity probe: a 1-server, 1-client rack. The switch adds
 	// two port hops and its latency, but capacity stays core-bound, so the
 	// estimate transfers to every grid cell.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+	capRes := capacityOf(func(rate float64) (loadgen.Result, float64) {
 		gen := workloads.NewYCSBTheta(sc.StoreKeys, 128, 1, clusterBalancedTheta)
 		c := driver.NewClusterTestbed(1, 1, driver.SysCornflakes,
 			nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
@@ -236,7 +236,7 @@ func Cluster(sc Scale) *Report {
 			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 			Seed:     41, ClientID: 1,
 		})
-		return res, c.Servers[0].N.Core
+		return res, c.Servers[0].N.Core.Utilization()
 	}, 100_000)
 	capRps := capRes.AchievedRps
 	if capRps <= 0 {

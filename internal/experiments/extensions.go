@@ -31,7 +31,7 @@ func ExtArena(sc Scale) *Report {
 	measureShape := func(mv int, disableArena bool) float64 {
 		gen := googleGen(sc, mv, 170)
 		cfg := expCacheConfig()
-		return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+		return capacityOf(func(rate float64) (loadgen.Result, float64) {
 			// Rebuild per rate for a clean cache.
 			tb := driver.NewTestbedCfg(nic.MellanoxCX6(), cfg)
 			srv := driver.NewKVServer(tb.Server, driver.SysCornflakes)
@@ -45,7 +45,7 @@ func ExtArena(sc Scale) *Report {
 				Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 				Seed:     171,
 			})
-			return res, tb.Server.Core
+			return res, tb.Server.Core.Utilization()
 		}, 100_000).AchievedRps
 	}
 	// 2 list shapes × {arena, heap} = 4 independent capacity probes.

@@ -50,9 +50,9 @@ func RPC(sc Scale) *Report {
 	}
 
 	// Per-tier capacity probe on the single-tier chain.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+	capRes := capacityOf(func(rate float64) (loadgen.Result, float64) {
 		p := rpcAt(sc, rpcOpts{Depth: 1, Rate: rate, Seed: 90})
-		return p.Res, p.FrontCore
+		return p.Res, p.FrontCore.Utilization()
 	}, 100_000)
 	capRps := capRes.AchievedRps
 	if capRps <= 0 {

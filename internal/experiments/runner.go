@@ -25,8 +25,10 @@ type kvOpts struct {
 	// SmallCache shrinks the modelled L3 (see expCacheConfig) so that
 	// scaled-down stores stay DRAM-resident like the paper's.
 	SmallCache bool
-	// Offload charges (de)serialization to a NIC-side engine instead of
-	// the host core (KVServer.OffloadSer) — the RPCAcc-style deployment.
+	// Offload gives the server a NIC-side serialization engine
+	// (Pipeline.AttachOffload): each response's serialize+tx stage runs on
+	// that second core while deserialize stays on the host — the
+	// RPCAcc-style deployment.
 	Offload bool
 	Scale   Scale
 	Seed    uint64
@@ -51,7 +53,9 @@ func newKVTestbed(o kvOpts) (*driver.Testbed, *driver.KVServer, *driver.KVClient
 		tb.Server.Ctx.Threshold = o.Threshold
 	}
 	srv.UseSGArray = o.UseSGArray
-	srv.OffloadSer = o.Offload
+	if o.Offload {
+		srv.AttachOffload()
+	}
 	if o.Scale.Batch > 0 {
 		srv.EnableBatching(o.Scale.Batch)
 	}
@@ -59,10 +63,10 @@ func newKVTestbed(o kvOpts) (*driver.Testbed, *driver.KVServer, *driver.KVClient
 	return tb, srv, driver.NewKVClient(tb.Client, o.Sys)
 }
 
-// runKVAt runs one load point, returning the server core for capacity
-// accounting.
-func runKVAtCore(o kvOpts, rate float64) (loadgen.Result, *sim.Core) {
-	tb, _, client := newKVTestbed(o)
+// runKVAtCore runs one load point, returning the utilization of the
+// server's busier stage for capacity accounting.
+func runKVAtCore(o kvOpts, rate float64) (loadgen.Result, float64) {
+	tb, srv, client := newKVTestbed(o)
 	res := loadgen.Run(loadgen.Config{
 		Eng: tb.Eng, EP: tb.Client.UDP,
 		Gen: o.Gen, Client: client,
@@ -71,7 +75,7 @@ func runKVAtCore(o kvOpts, rate float64) (loadgen.Result, *sim.Core) {
 		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed + 1,
 	})
-	return res, tb.Server.Core
+	return res, srv.StageUtilization()
 }
 
 // runKVAt runs one load point.
@@ -82,15 +86,17 @@ func runKVAt(o kvOpts, rate float64) loadgen.Result {
 
 // capacityOf measures a server's service capacity precisely: it finds a
 // stable ~70%-utilization operating point and scales the achieved rate by
-// the measured core utilization. Unlike overload probing, this estimator
-// is insensitive to queueing noise, so it resolves the few-percent
-// differences the ablation experiments report (Fig. 12, Tables 4/5).
-func capacityOf(run func(rate float64) (loadgen.Result, *sim.Core), start float64) loadgen.Result {
+// the measured utilization run reports — the host core's, or for a server
+// with an offload core the busier of the two, since a two-stage server's
+// capacity is set by its slower stage. Unlike overload probing, this
+// estimator is insensitive to queueing noise, so it resolves the
+// few-percent differences the ablation experiments report (Fig. 12,
+// Tables 4/5).
+func capacityOf(run func(rate float64) (loadgen.Result, float64), start float64) loadgen.Result {
 	rate := start
 	var out loadgen.Result
 	for i := 0; i < 6; i++ {
-		res, core := run(rate)
-		u := core.Utilization()
+		res, u := run(rate)
 		if res.Completed == 0 || u <= 0 {
 			rate /= 2
 			continue
@@ -115,7 +121,7 @@ func capacityOf(run func(rate float64) (loadgen.Result, *sim.Core), start float6
 
 // kvCapacity is capacityOf for a KV configuration.
 func kvCapacity(o kvOpts) loadgen.Result {
-	return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+	return capacityOf(func(rate float64) (loadgen.Result, float64) {
 		return runKVAtCore(o, rate)
 	}, 100_000)
 }
@@ -179,7 +185,7 @@ type redisOpts struct {
 	Seed  uint64
 }
 
-func runRedisAtCore(o redisOpts, rate float64) (loadgen.Result, *sim.Core) {
+func runRedisAtCore(o redisOpts, rate float64) (loadgen.Result, float64) {
 	tb := driver.NewTestbed(nic.MellanoxCX6())
 	srv := driver.NewRedisServer(tb.Server, o.Mode)
 	srv.Preload(o.Gen.Records())
@@ -191,7 +197,7 @@ func runRedisAtCore(o redisOpts, rate float64) (loadgen.Result, *sim.Core) {
 		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed + 2,
 	})
-	return res, tb.Server.Core
+	return res, tb.Server.Core.Utilization()
 }
 
 func runRedisAt(o redisOpts, rate float64) loadgen.Result {
@@ -201,7 +207,7 @@ func runRedisAt(o redisOpts, rate float64) loadgen.Result {
 
 // redisCapacity is capacityOf for a Redis configuration.
 func redisCapacity(o redisOpts) loadgen.Result {
-	return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+	return capacityOf(func(rate float64) (loadgen.Result, float64) {
 		return runRedisAtCore(o, rate)
 	}, 100_000)
 }
@@ -228,7 +234,7 @@ type echoOpts struct {
 	Seed      uint64
 }
 
-func runEchoAtCore(o echoOpts, rate float64) (loadgen.Result, *sim.Core) {
+func runEchoAtCore(o echoOpts, rate float64) (loadgen.Result, float64) {
 	tb := driver.NewTestbed(nic.MellanoxCX6())
 	driver.NewEchoServer(tb.Server, o.Mode, o.Sys, o.FieldSize, o.NumFields)
 	client := &driver.EchoClient{Mode: o.Mode, Sys: o.Sys, N: tb.Client, FieldSize: o.FieldSize, NumFields: o.NumFields}
@@ -240,7 +246,7 @@ func runEchoAtCore(o echoOpts, rate float64) (loadgen.Result, *sim.Core) {
 		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed + 3,
 	})
-	return res, tb.Server.Core
+	return res, tb.Server.Core.Utilization()
 }
 
 func runEchoAt(o echoOpts, rate float64) loadgen.Result {
@@ -250,7 +256,7 @@ func runEchoAt(o echoOpts, rate float64) loadgen.Result {
 
 // echoCapacity is capacityOf for an echo configuration.
 func echoCapacity(o echoOpts) loadgen.Result {
-	return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+	return capacityOf(func(rate float64) (loadgen.Result, float64) {
 		return runEchoAtCore(o, rate)
 	}, 200_000)
 }

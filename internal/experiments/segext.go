@@ -45,7 +45,7 @@ func ExtSegment(sc Scale) *Report {
 		})
 	}
 	measureB := func() loadgen.Result {
-		return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+		return capacityOf(func(rate float64) (loadgen.Result, float64) {
 			tb := driver.NewTestbedCfg(nic.MellanoxCX6(), expCacheConfig())
 			srv := driver.NewSegmentedKVServer(tb.Server, driver.SysCornflakes)
 			srv.Preload(cdn.Records())
@@ -59,7 +59,7 @@ func ExtSegment(sc Scale) *Report {
 				Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 				Seed:     182,
 			})
-			return res, tb.Server.Core
+			return res, tb.Server.Core.Utilization()
 		}, 30_000)
 	}
 	forEach(sc.workers(), 2, func(i int) {

@@ -76,7 +76,7 @@ func NewChain(cfg ChainConfig) *Chain {
 		s.CallTimeout = cfg.CallTimeout
 		s.AppCycles = cfg.AppCycles
 		s.ShedQueue = cfg.ShedQueue
-		s.Tracer = cfg.Tracer
+		s.Trace = cfg.Tracer
 		if cfg.FwdBytes > 0 {
 			s.FwdBytes = cfg.FwdBytes
 		}
@@ -108,10 +108,7 @@ func NewChain(cfg ChainConfig) *Chain {
 			if s == c.Sink {
 				continue // the sink only consumes; nothing to offload
 			}
-			// The offload engine is part of the tier's NIC.
-			off := sim.NewCore(s.N.Eng)
-			off.MaxQueue = 1024
-			s.Offload = off
+			s.AttachOffload() // the engine is part of the tier's NIC
 		}
 	}
 

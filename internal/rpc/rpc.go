@@ -97,38 +97,42 @@ type codec struct {
 
 // buildCall serializes a call or notify frame: header + PutReq body.
 func (c codec) buildCall(h Header, key, val []byte) []byte {
-	if c.sys == driver.SysCornflakes {
-		ctx := c.n.Ctx
-		m := msgs.NewPutReq(ctx)
-		m.SetId(h.CallID)
-		m.SetKey(ctx.NewCFPtr(key))
-		m.SetVal(ctx.NewCFPtr(val))
-		body := core.Marshal(m.Obj())
-		m.Release()
-		return c.frame(h, body)
-	}
-	d := baselines.NewDoc(msgs.PutReqSchema)
-	d.SetInt(0, h.CallID)
-	d.SetBytes(1, key, 0)
-	d.SetBytes(2, val, 0)
-	return c.buildDoc(h, d)
+	return c.build(h, msgs.PutReqSchema, key, val)
 }
 
 // buildReply serializes a reply frame: header + GetResp body.
 func (c codec) buildReply(h Header, val []byte) []byte {
+	return c.build(h, msgs.GetRespSchema, nil, val)
+}
+
+// build serializes header + body: the call id in field 0, then the key
+// (calls only) and the value in the following fields.
+func (c codec) build(h Header, schema *core.Schema, key, val []byte) []byte {
+	valField := 1
+	if key != nil {
+		valField = 2
+	}
 	if c.sys == driver.SysCornflakes {
 		ctx := c.n.Ctx
-		m := msgs.NewGetResp(ctx)
-		m.SetId(h.CallID)
-		m.SetVal(ctx.NewCFPtr(val))
-		body := core.Marshal(m.Obj())
+		m := core.NewMessage(schema, ctx)
+		m.SetInt(0, h.CallID)
+		if key != nil {
+			m.SetBytes(1, ctx.NewCFPtr(key))
+		}
+		m.SetBytes(valField, ctx.NewCFPtr(val))
+		body := core.Marshal(m)
 		m.Release()
 		return c.frame(h, body)
 	}
-	d := baselines.NewDoc(msgs.GetRespSchema)
+	d := baselines.NewDoc(schema)
 	d.SetInt(0, h.CallID)
-	d.SetBytes(1, val, 0)
-	return c.buildDoc(h, d)
+	if key != nil {
+		d.SetBytes(1, key, 0)
+	}
+	d.SetBytes(valField, val, 0)
+	out := c.sys.EncodeDoc(d, c.n.Meter, HeaderLen)
+	h.EncodeTo(out)
+	return out
 }
 
 func (c codec) frame(h Header, body []byte) []byte {
@@ -138,46 +142,19 @@ func (c codec) frame(h Header, body []byte) []byte {
 	return out
 }
 
-func (c codec) buildDoc(h Header, d *baselines.Doc) []byte {
-	m := c.n.Meter
-	switch c.sys {
-	case driver.SysProtobuf:
-		size := baselines.ProtoSize(d, m)
-		out := make([]byte, HeaderLen+size)
-		h.EncodeTo(out)
-		n := baselines.ProtoMarshal(d, out[HeaderLen:], m.AllocSimAddr(size), m)
-		return out[:HeaderLen+n]
-	case driver.SysFlatBuffers:
-		return c.frame(h, baselines.FBBuild(d, m))
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, _ := baselines.CapnpFlatten(cm)
-		var body []byte
-		for _, s := range segs {
-			body = append(body, s...)
-		}
-		return c.frame(h, body)
-	}
-}
-
 // decodeBody deserializes a frame's body through the metered path and
 // discards the result: an RPC hop pays the full parse cost even though the
 // modelled services have no application state to keep. reply selects the
 // GetResp shape over the PutReq shape. Consumes p.
 func (c codec) decodeBody(p *mem.Buf, reply bool) error {
+	schema := msgs.PutReqSchema
+	if reply {
+		schema = msgs.GetRespSchema
+	}
 	if c.sys == driver.SysCornflakes {
 		body := p.SubView(HeaderLen, p.Len()-HeaderLen)
 		p.DecRef()
-		if reply {
-			r, err := msgs.DeserializeGetResp(c.n.Ctx, body)
-			if err != nil {
-				body.DecRef()
-				return err
-			}
-			r.Release()
-			return nil
-		}
-		r, err := msgs.DeserializePutReq(c.n.Ctx, body)
+		r, err := c.n.Ctx.Deserialize(schema, body)
 		if err != nil {
 			body.DecRef()
 			return err
@@ -186,22 +163,7 @@ func (c codec) decodeBody(p *mem.Buf, reply bool) error {
 		return nil
 	}
 	defer p.DecRef()
-	data := p.Bytes()[HeaderLen:]
-	simAddr := p.SimAddr() + HeaderLen
-	schema := msgs.PutReqSchema
-	if reply {
-		schema = msgs.GetRespSchema
-	}
-	var err error
-	switch c.sys {
-	case driver.SysProtobuf:
-		_, err = baselines.ProtoUnmarshal(schema, data, simAddr, c.n.Meter)
-	case driver.SysFlatBuffers:
-		_, err = baselines.FBDecode(schema, data, simAddr, c.n.Meter)
-	default:
-		_, err = baselines.CapnpDecode(schema, data, simAddr, c.n.Meter)
-	}
-	if err != nil {
+	if _, err := c.sys.DecodeDoc(schema, p.Bytes()[HeaderLen:], p.SimAddr()+HeaderLen, c.n.Meter); err != nil {
 		return fmt.Errorf("rpc: decode %s body: %w", c.sys, err)
 	}
 	return nil

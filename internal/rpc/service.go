@@ -5,7 +5,6 @@ import (
 	"cornflakes/internal/driver"
 	"cornflakes/internal/mem"
 	"cornflakes/internal/sim"
-	"cornflakes/internal/trace"
 )
 
 // Service is one tier of a call graph: it serves KindCall frames on its
@@ -14,9 +13,12 @@ import (
 // frame when it rejects, a backend fails, or its fan-in deadline fires).
 // All serialization work — decoding calls, encoding downstream calls and
 // upstream replies — runs through the node's costmodel meter, so a chain
-// of Services reproduces per-hop marshalling cost end to end.
+// of Services reproduces per-hop marshalling cost end to end. The embedded
+// driver.Pipeline carries admission (ShedQueue), the host-core jobs, the
+// optional NIC-side Offload core and the per-hop Trace marks; the Service
+// supplies the call, child-reply and notify handlers.
 type Service struct {
-	N    *driver.Node
+	driver.Pipeline
 	Sys  driver.System
 	Name string
 	// Hop is this tier's depth in the graph (1 = frontend). Stamped into
@@ -38,25 +40,11 @@ type Service struct {
 	// upstream replies.
 	FwdBytes  int
 	RespBytes int
-	// ShedQueue is the admission bound on the host core's queue depth
-	// (driver.KVServer's ShedQueue, applied to RPC calls). Zero disables.
-	ShedQueue int
 	// NotifyAddr, when nonzero, makes this tier emit a one-way KindNotify
 	// frame (NotifyBytes of payload) to that address after every reply it
 	// sends — completion events feeding a logging/metrics sink.
 	NotifyAddr  byte
 	NotifyBytes int
-	// Offload, when set, is a NIC-side serialization engine (its own
-	// sim.Core on the same engine): the host core still pays RX, header
-	// dispatch, deserialize, and app work, but reply/forward marshalling
-	// and TX posting run — and queue — on the offload core. This is the
-	// RPCAcc/Dagger deployment point: the hardware sits between the host
-	// and the wire, so ser/des cycles leave the host's capacity budget.
-	Offload *sim.Core
-	// Tracer, when set, receives per-hop phase marks attributed to the
-	// frame's root id ("rpc.h2.handle", "rpc.h2.reply"). Marks for
-	// unsampled roots are dropped by the tracer itself.
-	Tracer *trace.Tracer
 
 	codec codec
 
@@ -67,13 +55,12 @@ type Service struct {
 	expired  map[uint64]struct{}
 	nextCall uint64
 
-	// Stats. The child-call ledger is exact after the engine quiesces:
-	// ChildCalls == ChildReplies + ChildSheds + ChildAbandoned, and
-	// LateChildReplies ≤ ChildAbandoned (a late reply is the wasted work
-	// of an abandoned child arriving anyway).
-	Handled          uint64 // calls admitted to the host core
-	Shed             uint64 // calls rejected at admission
-	Errors           uint64 // malformed frames, decode/send failures
+	// Stats (Handled, Shed and Errors live on the pipeline: calls admitted
+	// to the host core, calls rejected at admission, malformed frames and
+	// decode/send failures). The child-call ledger is exact after the
+	// engine quiesces: ChildCalls == ChildReplies + ChildSheds +
+	// ChildAbandoned, and LateChildReplies ≤ ChildAbandoned (a late reply is
+	// the wasted work of an abandoned child arriving anyway).
 	RepliesSent      uint64 // KindReply frames sent upstream
 	FailsSent        uint64 // shed frames sent upstream (timeout/backend failure)
 	NotifiesSent     uint64
@@ -84,13 +71,6 @@ type Service struct {
 	ChildAbandoned   uint64 // children written off by fan-in timeout or sibling failure
 	ChildTimeouts    uint64 // fan-in deadlines that fired
 	LateChildReplies uint64 // replies from abandoned children (wasted work)
-
-	// HostRec / OffRec accumulate the cycle receipts drained on the host
-	// core vs the offload engine, over RecN handled calls — the
-	// serialization-share and offload-benefit observables.
-	HostRec costmodel.Receipt
-	OffRec  costmodel.Receipt
-	RecN    uint64
 
 	fwdBuf  []byte
 	respBuf []byte
@@ -113,13 +93,14 @@ type inflight struct {
 // the returned value before load starts.
 func NewService(n *driver.Node, sys driver.System, name string, hop int, addr byte) *Service {
 	s := &Service{
-		N: n, Sys: sys, Name: name, Hop: hop, Addr: addr,
+		Sys: sys, Name: name, Hop: hop, Addr: addr,
 		FwdBytes: 64, RespBytes: 64, NotifyBytes: 32,
 		codec:   codec{sys: sys, n: n},
 		pend:    make(map[uint64]*inflight),
 		expired: make(map[uint64]struct{}),
 		keyBuf:  []byte(name),
 	}
+	s.Init(n, s.phase("handle"), s.serve)
 	n.UDP.SetRecvHandler(s.onPayload)
 	return s
 }
@@ -133,10 +114,10 @@ func (s *Service) phase(what string) string {
 	return "rpc.h" + string('0'+byte(s.Hop)) + "." + what
 }
 
-// onPayload dispatches one delivered frame. Header inspection and fan-in
-// bookkeeping run unmetered at frame-delivery time (they model the id-peek
-// a real server does before committing a core to the request); everything
-// serialized goes through a metered core job.
+// onPayload is the rx stage. Header inspection and fan-in bookkeeping run
+// unmetered at frame-delivery time (they model the id-peek a real server
+// does before committing a core to the request); everything serialized
+// goes through a metered core job.
 func (s *Service) onPayload(p *mem.Buf) {
 	src := s.N.UDP.RxSrc
 	b := p.Bytes()
@@ -153,86 +134,71 @@ func (s *Service) onPayload(p *mem.Buf) {
 	h := DecodeHeader(b)
 	switch h.Kind {
 	case KindCall:
-		s.onCall(h, p, src)
+		if !s.Accept(driver.Req{P: p, ID: h.RootID, Traced: s.Trace != nil, Src: src}) {
+			s.failTo(h.CallID, h.RootID, src, "shed")
+			s.Shed++
+			p.DecRef()
+		}
 	case KindReply:
-		s.onChildReply(h, p)
+		s.onChildReply(h, p, src)
 	case KindNotify:
-		s.onNotify(p)
+		s.Submit(driver.Req{P: p, Src: src})
 	default:
 		s.Errors++
 		p.DecRef()
 	}
 }
 
-// onCall admits or sheds an incoming call, then serves it on the host core.
-func (s *Service) onCall(h Header, p *mem.Buf, src byte) {
-	if s.ShedQueue > 0 && s.N.Core.QueueLen() >= s.ShedQueue {
-		s.failTo(h.CallID, h.RootID, src, "shed")
-		s.Shed++
-		p.DecRef()
-		return
-	}
-	ok := s.N.Core.Submit(sim.Job{
-		Start: func(sim.Time) {
-			if s.Tracer != nil {
-				s.Tracer.Mark(h.RootID, s.N.Eng.Now(), s.phase("handle"))
-			}
-		},
-		Run: func() sim.Time { return s.serveCall(h, p, src) },
-	})
-	if !ok {
-		p.DecRef()
-	}
-}
-
-// serveCall is the host core's work for one call: metered deserialize, app
-// work, then either the reply (leaf) or the downstream fan-out. The drain
-// at the end charges exactly this call's host-side cycles to the core.
-func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
+// serve is the host core's work for one frame, by kind:
+//   - a call: metered deserialize, app work, then either the reply (leaf)
+//     or the downstream fan-out;
+//   - a child reply: deserialize, and the upstream reply if it completed
+//     the fan-in (r.Arg carries the finished *inflight);
+//   - a notify: deserialize as a sink — there is nothing to answer.
+func (s *Service) serve(r driver.Req) {
 	m := s.N.Meter
-	s.Handled++
+	h := DecodeHeader(r.P.Bytes())
 	m.SetCategory(costmodel.CatDeserialize)
-	if err := s.codec.decodeBody(p, false); err != nil {
-		s.Errors++
+	switch h.Kind {
+	case KindCall:
+		s.Handled++
+		if err := s.codec.decodeBody(r.P, false); err != nil {
+			s.Errors++
+		}
+		m.SetCategory(costmodel.CatApp)
+		m.Charge(s.AppCycles)
+		if len(s.Backends) == 0 {
+			s.finishCall(h, r.Src)
+		} else {
+			s.callChildren(h, r.Src)
+		}
+	case KindReply:
+		if err := s.codec.decodeBody(r.P, true); err != nil {
+			s.Errors++
+		}
+		if inf, done := r.Arg.(*inflight); done {
+			s.finishCall(inf.h, inf.src)
+		}
+	default:
+		if err := s.codec.decodeBody(r.P, false); err != nil {
+			s.Errors++
+		}
+		s.NotifiesRecv++
 	}
-	m.SetCategory(costmodel.CatApp)
-	m.Charge(s.AppCycles)
-	if len(s.Backends) == 0 {
-		s.finishCall(h, src)
-	} else {
-		s.callChildren(h, src)
-	}
-	s.N.Arena.Reset()
-	d := m.DrainTime()
-	s.HostRec.Add(m.TakeReceipt())
-	s.RecN++
-	m.SetCategory(costmodel.CatRx)
-	return d
 }
 
 // finishCall sends the upstream reply (and the optional one-way notify).
 // With an offload engine configured, the marshalling runs there instead of
 // on the host core — the host's receipt for this call is already closed by
-// the time the offload job executes, so the cycles land in OffRec.
+// the time the offload job executes, so the cycles land in OffRec. An
+// offload ring overflow means the reply is never built; the caller's
+// deadline machinery covers it.
 func (s *Service) finishCall(h Header, src byte) {
-	if s.Offload == nil {
-		s.emitReply(h, src)
+	if s.Offload != nil {
+		s.OffloadStage(src, func() { s.emitReply(h, src) })
 		return
 	}
-	ok := s.Offload.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		prev := m.SetCategory(costmodel.CatSerialize)
-		s.emitReply(h, src)
-		d := m.DrainTime()
-		s.OffRec.Add(m.TakeReceipt())
-		m.SetCategory(prev)
-		return d
-	}})
-	if !ok {
-		// Offload ring overflow: the reply is never built; the caller's
-		// deadline machinery covers it.
-		s.Errors++
-	}
+	s.emitReply(h, src)
 }
 
 func (s *Service) emitReply(h Header, src byte) {
@@ -250,8 +216,8 @@ func (s *Service) emitReply(h Header, src byte) {
 	} else {
 		s.RepliesSent++
 	}
-	if s.Tracer != nil {
-		s.Tracer.Mark(h.RootID, s.N.Eng.Now(), s.phase("reply"))
+	if s.Trace != nil {
+		s.Trace.Mark(h.RootID, s.N.Eng.Now(), s.phase("reply"))
 	}
 	if s.NotifyAddr != 0 {
 		if s.noteBuf == nil {
@@ -268,7 +234,6 @@ func (s *Service) emitReply(h Header, src byte) {
 			s.NotifiesSent++
 		}
 	}
-	s.N.Arena.Reset()
 }
 
 // callChildren fans the call out to every backend with fresh call ids and
@@ -276,22 +241,11 @@ func (s *Service) emitReply(h Header, src byte) {
 // TX run on the offload engine (the pending-table registration rides along
 // — single-threaded engine, so the bookkeeping is safe there).
 func (s *Service) callChildren(h Header, src byte) {
-	if s.Offload == nil {
-		s.dispatchChildren(h, src)
+	if s.Offload != nil {
+		s.OffloadStage(src, func() { s.dispatchChildren(h, src) })
 		return
 	}
-	ok := s.Offload.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		prev := m.SetCategory(costmodel.CatSerialize)
-		s.dispatchChildren(h, src)
-		d := m.DrainTime()
-		s.OffRec.Add(m.TakeReceipt())
-		m.SetCategory(prev)
-		return d
-	}})
-	if !ok {
-		s.Errors++
-	}
+	s.dispatchChildren(h, src)
 }
 
 func (s *Service) dispatchChildren(h Header, src byte) {
@@ -314,7 +268,6 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 			s.Errors++
 		}
 	}
-	s.N.Arena.Reset()
 	if s.CallTimeout > 0 {
 		inf.timer = s.N.Eng.After(s.CallTimeout, func() { s.onFanInTimeout(inf) })
 	}
@@ -324,51 +277,30 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 // for abandoned children are classified as late — the wasted-work ledger —
 // and dropped at the header peek, before any deserialize is paid (the
 // pending-table miss is exactly the cheap check a real fan-in does first).
-func (s *Service) onChildReply(h Header, p *mem.Buf) {
-	inf, ok := s.pend[h.CallID]
+// A wanted reply's decode runs as a host-core job; the one that completes
+// the fan-in carries the upstream reply with it. Host ring overflow loses
+// the reply after it was counted; the upstream caller's own deadline
+// covers the call.
+func (s *Service) onChildReply(h Header, p *mem.Buf, src byte) {
+	inf, ok := s.resolve(h.CallID)
 	if !ok {
-		if _, late := s.expired[h.CallID]; late {
-			delete(s.expired, h.CallID)
-			s.LateChildReplies++
-		} else {
-			s.Errors++
-		}
 		p.DecRef()
 		return
 	}
-	delete(s.pend, h.CallID)
 	s.ChildReplies++
 	inf.await--
-	done := inf.await == 0
-	if done {
+	r := driver.Req{P: p, Src: src}
+	if inf.await == 0 {
 		inf.timer.Cancel()
+		r.Arg = inf
 	}
-	submitted := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		m.SetCategory(costmodel.CatDeserialize)
-		if err := s.codec.decodeBody(p, true); err != nil {
-			s.Errors++
-		}
-		if done {
-			s.finishCall(inf.h, inf.src)
-		}
-		s.N.Arena.Reset()
-		d := m.DrainTime()
-		s.HostRec.Add(m.TakeReceipt())
-		m.SetCategory(costmodel.CatRx)
-		return d
-	}})
-	if !submitted {
-		// Host ring overflow at fan-in: the reply is lost after being
-		// counted; the upstream caller's own deadline covers the call.
-		p.DecRef()
-	}
+	s.Submit(r)
 }
 
-// onChildFailure handles a shed frame from a backend: the call tree under
-// this request cannot complete, so fail fast — cancel the deadline, write
-// off the surviving siblings, and propagate the failure upstream.
-func (s *Service) onChildFailure(id uint64) {
+// resolve takes a child call id off the pending table. A miss is either a
+// late answer from an abandoned child (counted in LateChildReplies) or
+// garbage.
+func (s *Service) resolve(id uint64) (*inflight, bool) {
 	inf, ok := s.pend[id]
 	if !ok {
 		if _, late := s.expired[id]; late {
@@ -377,9 +309,20 @@ func (s *Service) onChildFailure(id uint64) {
 		} else {
 			s.Errors++
 		}
-		return
+		return nil, false
 	}
 	delete(s.pend, id)
+	return inf, true
+}
+
+// onChildFailure handles a shed frame from a backend: the call tree under
+// this request cannot complete, so fail fast — cancel the deadline, write
+// off the surviving siblings, and propagate the failure upstream.
+func (s *Service) onChildFailure(id uint64) {
+	inf, ok := s.resolve(id)
+	if !ok {
+		return
+	}
 	s.ChildSheds++
 	inf.await--
 	if inf.failed {
@@ -415,43 +358,13 @@ func (s *Service) abandonSiblings(inf *inflight) {
 	}
 }
 
-// failTo sends the 9-byte shed frame for an upstream call id — billed to
-// CatShed like KVServer's rejections, since it runs at frame-delivery or
-// timer time under whatever category the last drained job left behind.
+// failTo sends the 9-byte shed frame for an upstream call id (billed to
+// CatShed by the pipeline, like KVServer's rejections).
 func (s *Service) failTo(callID, rootID uint64, src byte, why string) {
-	m := s.N.Meter
-	prev := m.SetCategory(costmodel.CatShed)
-	defer m.SetCategory(prev)
-	if s.Tracer != nil {
-		s.Tracer.Mark(rootID, s.N.Eng.Now(), s.phase(why))
-	}
-	reply := driver.ShedReply(callID)
-	s.N.UDP.DstAddr = src
-	if err := s.N.UDP.SendPrebuilt(reply, mem.UnpinnedSimAddr(reply)); err != nil {
-		s.Errors++
-	} else {
+	if s.Reject(callID, src, rootID, s.phase(why)) {
 		s.FailsSent++
-	}
-}
-
-// onNotify processes a one-way frame as a sink: the decode still costs host
-// cycles (a metered core job), there is just nothing to answer.
-func (s *Service) onNotify(p *mem.Buf) {
-	ok := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		m.SetCategory(costmodel.CatDeserialize)
-		if err := s.codec.decodeBody(p, false); err != nil {
-			s.Errors++
-		}
-		s.NotifiesRecv++
-		s.N.Arena.Reset()
-		d := m.DrainTime()
-		s.HostRec.Add(m.TakeReceipt())
-		m.SetCategory(costmodel.CatRx)
-		return d
-	}})
-	if !ok {
-		p.DecRef()
+	} else {
+		s.Errors++
 	}
 }
 

@@ -26,8 +26,9 @@ go test -short ./internal/experiments -run 'TestChaosSmoke|TestChaosDeterministi
 go test -short ./internal/driver -run 'TestClusterCrashRecovery|TestCrashDrainsPending|TestFailoverRouting'
 go test -short ./internal/loadgen -run 'TestHedge|TestBucketCompleted'
 
-echo "== rpc chain smoke (call/reply framing, fan-in, shed propagation, NIC offload)"
+echo "== rpc chain smoke (call/reply framing, fan-in, shed propagation, NIC offload on rpc and KV)"
 go test -short ./internal/rpc -run 'TestSingleHopAllSystems|TestShedPropagatesUpstream|TestFanInLateReplyProperty|TestOffloadMovesSerializationOffHost'
+go test -short ./internal/driver -run 'TestKVOffloadMovesSerializationOffHost|TestKVOffloadHoldsValuesAcrossPut'
 
 echo "== parallel-harness fingerprint gate (serial == parallel across every experiment, rpc included)"
 go test ./internal/experiments -run 'TestSerialParallelFingerprints|TestFingerprintSensitivity'
