@@ -331,6 +331,28 @@ func (m *Meter) Drain() float64 {
 // DrainTime is Drain converted to virtual time.
 func (m *Meter) DrainTime() sim.Time { return m.CPU.Cycles(m.Drain()) }
 
+// Undrained is a meter's open books: the cycles charged since the last
+// Drain and the receipt since the last TakeReceipt.
+type Undrained struct {
+	cy  float64
+	rec Receipt
+}
+
+// Stash takes the open books out of the meter, leaving it as if just
+// drained, so a job on another core sharing this meter can bill only its
+// own work; Unstash puts them back.
+func (m *Meter) Stash() Undrained {
+	u := Undrained{m.pending, m.receipt}
+	m.pending, m.receipt = 0, Receipt{}
+	return u
+}
+
+// Unstash adds books taken by Stash back onto the meter.
+func (m *Meter) Unstash(u Undrained) {
+	m.pending += u.cy
+	m.receipt.Add(u.rec)
+}
+
 // TakeReceipt returns the per-category cycles accumulated since the last
 // TakeReceipt and resets the receipt.
 func (m *Meter) TakeReceipt() Receipt {

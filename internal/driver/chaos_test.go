@@ -42,7 +42,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 		t.Fatalf("schedule = %+v, want 1 crash / 1 recovery", sched)
 	}
 	srv := c.Servers[0]
-	if srv.Down {
+	if srv.down {
 		t.Error("shard 0 still down after recovery")
 	}
 	if srv.Recoveries != 1 {

@@ -28,6 +28,16 @@ type KVServer struct {
 	// path (the Table 5 ablation).
 	UseSGArray bool
 
+	// ShedWater is admission control on the pinned pool: an arriving
+	// request that finds its occupancy ≥ ShedWater (a fraction) is shed
+	// like one past ShedQueue — refuse work the send path could not
+	// complete. Zero disables it.
+	ShedWater float64
+
+	// OnReceipt, when set, receives the host-core cycle breakdown of every
+	// request (Figure 11).
+	OnReceipt func(r costmodel.Receipt)
+
 	// Adaptive, when set, adjusts the zero-copy threshold between requests
 	// from observed metadata cache behaviour (the §7 dynamic-threshold
 	// extension).
@@ -70,8 +80,8 @@ func NewKVServer(n *Node, sys System) *KVServer {
 // one request per jumbo-frame sub-object.
 func NewSegmentedKVServer(n *Node, sys System) *KVServer {
 	s := newKVServer(n, sys)
-	s.Seg = netstack.NewSegmenter(n.UDP)
-	s.Seg.SetRecvHandler(s.onPayload)
+	s.seg = netstack.NewSegmenter(n.UDP)
+	s.seg.SetRecvHandler(s.onPayload)
 	return s
 }
 
@@ -119,6 +129,17 @@ func preload(n *Node, store *kvstore.Store, recs []workloads.KV) {
 	n.Meter.TakeReceipt()
 }
 
+// EnableBatching turns on the batched RX/TX datapath with the given burst
+// cap and tells the UDP stack to split its RX charge accordingly. A cap of
+// 1 (or less) selects the unbatched path — that is the adaptive floor, and
+// the determinism gate relies on it being bit-identical.
+func (s *KVServer) EnableBatching(maxBurst int) {
+	s.maxBurst = maxBurst
+	if s.N.UDP != nil {
+		s.N.UDP.RxBatched = s.batched()
+	}
+}
+
 // Deliver injects a request payload directly (used by the multi-core
 // dispatcher, which performs its own RX handling).
 func (s *KVServer) Deliver(p *mem.Buf) { s.onPayload(p) }
@@ -136,7 +157,7 @@ func (s *KVServer) onPayload(p *mem.Buf) {
 	if s.Trace != nil {
 		r.ID, r.Traced = s.reqID(p.Bytes())
 	}
-	if s.Accept(r) {
+	if !(s.ShedWater > 0 && s.N.Alloc.Occupancy() >= s.ShedWater) && s.Accept(r) {
 		return
 	}
 	defer p.DecRef()
@@ -189,6 +210,9 @@ func (s *KVServer) serve(r Req) {
 // observeReceipt attributes a served request's receipt to its flow (by the
 // id peeked at arrival) and feeds the adaptive threshold.
 func (s *KVServer) observeReceipt(r Req, rec costmodel.Receipt) {
+	if s.OnReceipt != nil {
+		s.OnReceipt(rec)
+	}
 	if s.Trace != nil {
 		if r.Traced {
 			if fb := s.N.Ctx.Fallbacks - s.fb0; fb > 0 {
@@ -207,9 +231,9 @@ func (s *KVServer) observeReceipt(r Req, rec costmodel.Receipt) {
 }
 
 // reply runs the serialize+tx stage: inline on the host core, or as a job
-// on the offload core. The offload stage runs after later host jobs, so it
-// gets its own copy of the value list and holds a reference on each value
-// until it has been sent — a put in between cannot free it.
+// on the offload core. The offload stage may run after later host jobs, so
+// it gets its own copy of the value list and holds a reference on each
+// value until it has been sent — a put in between cannot free it.
 func (s *KVServer) reply(r kvReply, src byte) {
 	if s.Offload == nil {
 		s.emit(r)
@@ -218,16 +242,15 @@ func (s *KVServer) reply(r kvReply, src byte) {
 	o := r
 	o.vals = append([]*mem.Buf(nil), r.vals...)
 	hold(o.vals, (*mem.Buf).IncRef)
-	ok := s.OffloadStage(src, func() {
+	s.OffloadStage(src, func() {
 		s.emit(o)
 		hold(o.vals, (*mem.Buf).DecRef)
-	})
-	if !ok {
+	}, func() {
 		if o.req != nil {
 			o.req.Release()
 		}
 		hold(o.vals, (*mem.Buf).DecRef)
-	}
+	})
 }
 
 // hold applies a refcount operation to every non-nil value.
@@ -441,8 +464,8 @@ func buildDoc(r kvReply) *baselines.Doc {
 func (s *KVServer) sendObj(obj core.Obj) {
 	var err error
 	switch {
-	case s.Seg != nil:
-		err = s.Seg.SendObjectSegmented(obj)
+	case s.seg != nil:
+		err = s.seg.SendObjectSegmented(obj)
 	case s.UseSGArray:
 		err = s.N.UDP.SendObjectViaSGArray(obj)
 	case s.N.TCP != nil:

@@ -19,52 +19,30 @@ import (
 // notifications. The pipeline owns everything around the handler, each
 // mechanism modelled once: admission control with explicit shed replies,
 // the host-core job (dispatch mark, crash discard, arena reset, receipts,
-// gray slowdown), the batched RX ring and its drainer, crash/recover/gray
-// fault state, and the optional NIC-side offload core.
+// gray slowdown), crash/recover/gray fault state, and the optional
+// NIC-side offload core. The batched RX ring and the segmentation layer
+// live here too, but only KVServer turns them on (EnableBatching,
+// NewSegmentedKVServer); their settings are unexported, so the rpc
+// package cannot reach them.
 type Pipeline struct {
 	N *Node
 
-	// Seg, when set, carries requests and responses through the §3.2.3
-	// segmentation layer (objects larger than one jumbo frame).
-	Seg *netstack.Segmenter
-
-	// Admission control: beyond these thresholds arriving requests are shed
-	// with an explicit ShedReply instead of queued. Zero disables a check.
-	// ShedQueue bounds PendingDepth (keep the RX ring from starving ACK and
-	// completion traffic); ShedWater is a pinned-pool occupancy fraction
-	// (refuse work the send path could not complete).
+	// ShedQueue is admission control: an arriving request that finds
+	// PendingDepth ≥ ShedQueue is shed with an explicit ShedReply instead
+	// of queued, keeping the RX ring from starving ACK and completion
+	// traffic. Zero disables it.
 	ShedQueue int
-	ShedWater float64
-
-	// MaxBurst, when ≥ 2, enables the batched RX/TX datapath (§12,
-	// EnableBatching wires it): arriving requests queue in a software RX
-	// ring and one core job drains min(backlog, MaxBurst) of them,
-	// amortizing dispatch, the poll-loop share of RX and — through one TX
-	// batch flushed at the end of the burst — the reply doorbells. At
-	// MaxBurst ≤ 1 (or on TCP/segmented servers) the unbatched path runs.
-	MaxBurst int
 
 	// Offload, when set, is an RPCAcc/Dagger-style NIC serialization engine
 	// (AttachOffload): the host core still pays RX, dispatch, deserialize
 	// and app work, but each handler's serialize+tx stage runs — and queues
-	// — on this second core, with its own receipt (OffRec).
+	// — on this second core once the host job completes, with its own
+	// receipt (OffRec).
 	Offload *sim.Core
 
 	// Trace, when set, receives the dispatch mark of every traced request
 	// and the admission-control shed marks.
 	Trace *trace.Tracer
-
-	// OnReceipt, when set, receives the host-core cycle breakdown of every
-	// job (Figure 11).
-	OnReceipt func(r costmodel.Receipt)
-
-	// Fault state (driven by faults.ScheduleNodePlan through the FaultNode
-	// interface). Down marks the node crashed: queued requests are
-	// discarded (counted in DownDrops) and the netstack drops arriving
-	// frames. Slowdown > 1 is gray failure: every service time is scaled
-	// by it.
-	Down     bool
-	Slowdown float64
 
 	// Stats. Handled and Errors are counted by the handler.
 	Handled, Errors uint64
@@ -91,12 +69,43 @@ type Pipeline struct {
 	observe     func(r Req, rec costmodel.Receipt)
 	handleLabel string
 
+	// Fault state, set through Crash, Recover and SetGray (the
+	// faults.FaultNode interface). down marks the node crashed: queued
+	// requests are discarded (counted in DownDrops) and the netstack drops
+	// arriving frames. slowdown > 1 is gray failure: every service time is
+	// scaled by it.
+	down     bool
+	slowdown float64
+
+	// seg, when set, carries requests and responses through the §3.2.3
+	// segmentation layer (objects larger than one jumbo frame).
+	seg *netstack.Segmenter
+	// maxBurst, when ≥ 2, enables the batched RX/TX datapath (§12,
+	// KVServer.EnableBatching): arriving requests queue in a software RX
+	// ring and one core job drains min(backlog, maxBurst) of them,
+	// amortizing dispatch, the poll-loop share of RX and — through one TX
+	// batch flushed at the end of the burst — the reply doorbells. At
+	// maxBurst ≤ 1 (or on TCP/segmented servers) the unbatched path runs.
+	maxBurst int
+
 	// rxq is the batched path's software RX ring: requests waiting for the
 	// drainer, bounded by Core.MaxQueue like the core's own queue.
 	rxq []Req
 	// drainerArmed notes that a drainer job is already submitted, so each
 	// backlog needs only one.
 	drainerArmed bool
+	// stage is the serialize+tx stage the running host job handed to the
+	// offload core (OffloadStage); serveOne submits it at the job's
+	// completion.
+	stage offStage
+}
+
+// offStage is one handler's deferred serialize+tx stage: run sends the
+// replies to src on the offload core; drop, if set, releases what run
+// would have when the offload queue is full and run never happens.
+type offStage struct {
+	src       byte
+	run, drop func()
 }
 
 // Req is one request moving through a Pipeline.
@@ -132,22 +141,11 @@ func (pl *Pipeline) AttachOffload() {
 	pl.Offload.MaxQueue = rxRingDepth
 }
 
-// EnableBatching turns on the batched RX/TX datapath with the given burst
-// cap and tells the UDP stack to split its RX charge accordingly. A cap of
-// 1 (or less) selects the unbatched path — that is the adaptive floor, and
-// the determinism gate relies on it being bit-identical.
-func (pl *Pipeline) EnableBatching(maxBurst int) {
-	pl.MaxBurst = maxBurst
-	if pl.N.UDP != nil {
-		pl.N.UDP.RxBatched = pl.batched()
-	}
-}
-
 // batched reports whether the batched datapath is active. TCP and
 // segmented servers always use the unbatched path: their replies flow
 // through connection state the TX batch bracket does not cover.
 func (pl *Pipeline) batched() bool {
-	return pl.MaxBurst >= 2 && pl.N.TCP == nil && pl.Seg == nil
+	return pl.maxBurst >= 2 && pl.N.TCP == nil && pl.seg == nil
 }
 
 // Crash kills the node: the netstack starts discarding arriving frames
@@ -155,9 +153,9 @@ func (pl *Pipeline) batched() bool {
 // RX ring dies with the process — dropped with exact accounting, never
 // served. A job already executing on the core at the crash instant
 // completes (the model's jobs are atomic units of service); queued core
-// jobs that fire while down are discarded by the Down check in their Run.
+// jobs that fire while down are discarded by the down check in their Run.
 func (pl *Pipeline) Crash() {
-	pl.Down = true
+	pl.down = true
 	if pl.N.UDP != nil {
 		pl.N.UDP.Down = true
 	}
@@ -176,7 +174,7 @@ func (pl *Pipeline) Crash() {
 // durable or replicated data; what a crash loses is in-flight work and
 // cache heat.
 func (pl *Pipeline) Recover() {
-	pl.Down = false
+	pl.down = false
 	if pl.N.UDP != nil {
 		pl.N.UDP.Down = false
 	}
@@ -188,16 +186,16 @@ func (pl *Pipeline) Recover() {
 // healthy service.
 func (pl *Pipeline) SetGray(slowdown float64) {
 	if slowdown <= 1 {
-		pl.Slowdown = 0
+		pl.slowdown = 0
 		return
 	}
-	pl.Slowdown = slowdown
+	pl.slowdown = slowdown
 }
 
 // scaled applies the gray-failure multiplier to one service time.
 func (pl *Pipeline) scaled(d sim.Time) sim.Time {
-	if pl.Slowdown > 1 {
-		return sim.Time(float64(d) * pl.Slowdown)
+	if pl.slowdown > 1 {
+		return sim.Time(float64(d) * pl.slowdown)
 	}
 	return d
 }
@@ -224,8 +222,7 @@ func (pl *Pipeline) StageUtilization() float64 {
 // reports false when the request must be shed; the caller still owns r.P
 // then.
 func (pl *Pipeline) Accept(r Req) bool {
-	if (pl.ShedQueue > 0 && pl.PendingDepth() >= pl.ShedQueue) ||
-		(pl.ShedWater > 0 && pl.N.Alloc.Occupancy() >= pl.ShedWater) {
+	if pl.ShedQueue > 0 && pl.PendingDepth() >= pl.ShedQueue {
 		return false
 	}
 	if pl.batched() {
@@ -238,7 +235,7 @@ func (pl *Pipeline) Accept(r Req) bool {
 
 // Submit queues r as one host-core job; RX ring overflow drops it.
 func (pl *Pipeline) Submit(r Req) {
-	j := sim.Job{Run: func() sim.Time { return pl.serveOne(r) }}
+	j := sim.Job{Run: func() sim.Time { return pl.serveOne(r, 0) }}
 	if r.Traced {
 		j.Start = func(sim.Time) { pl.Trace.Mark(r.ID, pl.N.Eng.Now(), pl.handleLabel) }
 	}
@@ -255,9 +252,12 @@ func (pl *Pipeline) Submit(r Req) {
 // mass-freed (§3.2.2), the receipt is taken, and work between requests
 // (completions, the next RX) is attributed to the rx bucket. It returns
 // the request's (gray-scaled) service time. A request served after the
-// node crashed dies with the process, costing no (dead) CPU.
-func (pl *Pipeline) serveOne(r Req) sim.Time {
-	if pl.Down {
+// node crashed dies with the process, costing no (dead) CPU. at is how far
+// past the current instant the request's service starts (its offset in a
+// batch): an offload stage the handler left is submitted when the
+// request's host service ends, at + the returned time from now.
+func (pl *Pipeline) serveOne(r Req, at sim.Time) sim.Time {
+	if pl.down {
 		pl.DownDrops++
 		r.P.DecRef()
 		return 0
@@ -268,14 +268,16 @@ func (pl *Pipeline) serveOne(r Req) sim.Time {
 	pl.N.Arena.Reset()
 	rec := m.TakeReceipt()
 	pl.HostRec.Add(rec)
-	if pl.OnReceipt != nil {
-		pl.OnReceipt(rec)
-	}
 	if pl.observe != nil {
 		pl.observe(r, rec)
 	}
 	m.SetCategory(costmodel.CatRx)
-	return pl.scaled(m.DrainTime())
+	d := pl.scaled(m.DrainTime())
+	if st := pl.stage; st.run != nil {
+		pl.stage = offStage{}
+		pl.N.Eng.After(at+d, func() { pl.submitStage(st) })
+	}
+	return d
 }
 
 // enqueue parks a request in the software RX ring and makes sure a drainer
@@ -311,7 +313,7 @@ func (pl *Pipeline) armDrainer() {
 	}
 }
 
-// drain is one batched core job: it serves min(backlog, MaxBurst) requests
+// drain is one batched core job: it serves min(backlog, maxBurst) requests
 // back to back, bracketing their replies in a TX batch flushed at the end,
 // and returns the summed service time. Per-request accounting is kept
 // exact: request i's queue wait is its time in the ring plus the service
@@ -320,7 +322,7 @@ func (pl *Pipeline) armDrainer() {
 // in the drain total so the core stays busy for every cycle charged.
 func (pl *Pipeline) drain() sim.Time {
 	pl.drainerArmed = false
-	b := min(len(pl.rxq), pl.MaxBurst)
+	b := min(len(pl.rxq), pl.maxBurst)
 	if b == 0 {
 		return 0
 	}
@@ -346,7 +348,7 @@ func (pl *Pipeline) drain() sim.Time {
 		// Reply headers are written at send time inside the handler, so
 		// pointing the stack at this request's source is sufficient even
 		// though the TX batch flushes after the burst.
-		d := pl.serveOne(r)
+		d := pl.serveOne(r, cum)
 		cum += d
 		total += d
 	}
@@ -372,28 +374,48 @@ func (pl *Pipeline) drain() sim.Time {
 	return total
 }
 
-// OffloadStage runs one handler's serialize+tx stage as a job on the
-// offload core, with its own receipt: the stage starts under CatSerialize,
-// its replies go back to src, and its cycles land in OffRec. It reports
-// false (counting an error) when the offload queue is full and the stage
-// will never run. Callers build the stage closure only when Offload is
-// set, so the host-only path allocates nothing for it.
-func (pl *Pipeline) OffloadStage(src byte, stage func()) bool {
-	ok := pl.Offload.Submit(sim.Job{Run: func() sim.Time {
-		m := pl.N.Meter
-		prev := m.SetCategory(costmodel.CatSerialize)
-		pl.setReplyAddr(src)
-		stage()
-		pl.N.Arena.Reset()
-		d := m.DrainTime()
-		pl.OffRec.Add(m.TakeReceipt())
-		m.SetCategory(prev)
-		return d
-	}})
-	if !ok {
-		pl.Errors++
+// OffloadStage hands the running handler's serialize+tx stage to the
+// offload core: once the host job's books are closed and its service time
+// has elapsed, run is submitted there as a job with its own receipt,
+// starting under CatSerialize with replies going back to src. If the
+// offload queue is full the stage never runs: an error is counted and
+// drop (when set) releases what run would have. A handler leaves at most
+// one stage per host job. Callers build the closures only when Offload is
+// set, so the host-only path allocates nothing for them.
+func (pl *Pipeline) OffloadStage(src byte, run, drop func()) {
+	if pl.stage.run != nil {
+		panic("driver: two offload stages in one host job")
 	}
-	return ok
+	pl.stage = offStage{src: src, run: run, drop: drop}
+}
+
+// submitStage queues a deferred stage on the offload core.
+func (pl *Pipeline) submitStage(st offStage) {
+	if pl.Offload.Submit(sim.Job{Run: func() sim.Time { return pl.runStage(st) }}) {
+		return
+	}
+	pl.Errors++
+	if st.drop != nil {
+		st.drop()
+	}
+}
+
+// runStage runs one stage on the offload core. The meter is shared with
+// the host core, so host work charged since the host's last drain (RX of
+// frames that arrived meanwhile) is stashed first and put back after: the
+// offload receipt and service time carry the stage's cycles only.
+func (pl *Pipeline) runStage(st offStage) sim.Time {
+	m := pl.N.Meter
+	host := m.Stash()
+	prev := m.SetCategory(costmodel.CatSerialize)
+	pl.setReplyAddr(st.src)
+	st.run()
+	pl.N.Arena.Reset()
+	d := m.DrainTime()
+	pl.OffRec.Add(m.TakeReceipt())
+	m.SetCategory(prev)
+	m.Unstash(host)
+	return d
 }
 
 // setReplyAddr points the stack's next sends at the requester's fabric
@@ -425,8 +447,8 @@ func (pl *Pipeline) Reject(id uint64, src byte, traceID uint64, label string) bo
 	sim := mem.UnpinnedSimAddr(reply)
 	var err error
 	switch {
-	case pl.Seg != nil:
-		err = pl.Seg.SendContiguous(reply, sim)
+	case pl.seg != nil:
+		err = pl.seg.SendContiguous(reply, sim)
 	case pl.N.TCP != nil:
 		err = pl.N.TCP.SendContiguous(reply, sim)
 	default:

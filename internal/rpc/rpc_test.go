@@ -174,10 +174,14 @@ func TestNotifySink(t *testing.T) {
 }
 
 // The RPCAcc-style offload engine must move serialization cycles off the
-// host cores: host-side ser/des per handled call drops to the header-only
-// residue, and the moved cycles show up on the offload receipts instead.
+// host cores: host-side serialization per handled call drops to the
+// header-only residue, and the moved cycles show up on the offload
+// receipts instead. RX, deserialize and app work stay on the host: the
+// offload receipts carry none of them, and host deserialize per call
+// stays within 10% of the baseline (the shared cache is touched at
+// different instants, so close, not equal).
 func TestOffloadMovesSerializationOffHost(t *testing.T) {
-	hostSer := func(off bool) (perCall float64, c *Chain) {
+	hostRec := func(off bool) (perCall costmodel.Receipt, c *Chain) {
 		cfg := chainCfg(driver.SysProtobuf, 2, 0)
 		cfg.Offload = off
 		c = NewChain(cfg)
@@ -186,10 +190,12 @@ func TestOffloadMovesSerializationOffHost(t *testing.T) {
 			t.Fatalf("offload=%v: nothing completed", off)
 		}
 		rec, n := c.HostReceipt()
-		return rec.Cycles[costmodel.CatSerialize] / float64(n), c
+		rec.Scale(float64(n))
+		return rec, c
 	}
-	on, con := hostSer(true)
-	off, _ := hostSer(false)
+	onRec, con := hostRec(true)
+	offRec, _ := hostRec(false)
+	on, off := onRec.Cycles[costmodel.CatSerialize], offRec.Cycles[costmodel.CatSerialize]
 	if off <= 0 {
 		t.Fatalf("baseline host serialization is zero (%.1f)", off)
 	}
@@ -199,6 +205,15 @@ func TestOffloadMovesSerializationOffHost(t *testing.T) {
 	orec, _ := con.OffloadReceipt()
 	if orec.Cycles[costmodel.CatSerialize] <= 0 {
 		t.Fatal("offload engine recorded no serialization cycles")
+	}
+	for _, cat := range []costmodel.Category{costmodel.CatRx, costmodel.CatDeserialize, costmodel.CatApp} {
+		if orec.Cycles[cat] != 0 {
+			t.Errorf("offload receipts carry %.0f %v cycles; that work belongs to the host", orec.Cycles[cat], cat)
+		}
+	}
+	des, base := onRec.Cycles[costmodel.CatDeserialize], offRec.Cycles[costmodel.CatDeserialize]
+	if base <= 0 || des < 0.9*base || des > 1.1*base {
+		t.Errorf("host deserialize %.1f cycles/call with offload, %.1f without", des, base)
 	}
 }
 

@@ -195,7 +195,7 @@ func (s *Service) serve(r driver.Req) {
 // deadline machinery covers it.
 func (s *Service) finishCall(h Header, src byte) {
 	if s.Offload != nil {
-		s.OffloadStage(src, func() { s.emitReply(h, src) })
+		s.OffloadStage(src, func() { s.emitReply(h, src) }, nil)
 		return
 	}
 	s.emitReply(h, src)
@@ -242,7 +242,7 @@ func (s *Service) emitReply(h Header, src byte) {
 // — single-threaded engine, so the bookkeeping is safe there).
 func (s *Service) callChildren(h Header, src byte) {
 	if s.Offload != nil {
-		s.OffloadStage(src, func() { s.dispatchChildren(h, src) })
+		s.OffloadStage(src, func() { s.dispatchChildren(h, src) }, nil)
 		return
 	}
 	s.dispatchChildren(h, src)
