@@ -4,7 +4,6 @@ import (
 	"cornflakes/internal/baselines"
 	"cornflakes/internal/core"
 	"cornflakes/internal/costmodel"
-	"cornflakes/internal/netstack"
 )
 
 // Per-system codec entry points. Every server and client in the repo peeks,
@@ -74,22 +73,27 @@ func (s System) EncodeDoc(d *baselines.Doc, m *costmodel.Meter, headroom int) []
 	}
 }
 
-// SendDoc serializes d straight onto u's transmit path, each system on its
+// SendDoc serializes d straight onto n's transmit path, each system on its
 // own datapath: Protobuf marshals from its structs directly into DMA-safe
 // memory (§6.1.3, one copy of field data), FlatBuffers builds a contiguous
-// buffer, and Cap'n Proto posts its segments.
-func (s System) SendDoc(u *netstack.UDP, d *baselines.Doc, m *costmodel.Meter) error {
+// buffer, and Cap'n Proto posts its segments. Only FlatBuffers works over
+// TCP; the other two send through the UDP stack (docNeedsUDP).
+func (s System) SendDoc(n *Node, d *baselines.Doc) error {
+	m := n.Meter
 	switch s {
 	case SysProtobuf:
 		size := baselines.ProtoSize(d, m)
-		return u.SendWith(size, func(dst []byte, dstSim uint64) int {
+		return n.UDP.SendWith(size, func(dst []byte, dstSim uint64) int {
 			return baselines.ProtoMarshal(d, dst, dstSim, m)
 		})
 	case SysFlatBuffers:
 		buf, bufSim := baselines.FBBuildSim(d, m)
-		return u.SendContiguous(buf, bufSim)
+		return n.transport().SendContiguous(buf, bufSim)
 	default:
 		segs, sims := baselines.CapnpFlatten(baselines.CapnpBuild(d, m))
-		return u.SendSegments(segs, sims)
+		return n.UDP.SendSegments(segs, sims)
 	}
 }
+
+// docNeedsUDP reports whether SendDoc's path for s is UDP-only.
+func (s System) docNeedsUDP() bool { return s == SysProtobuf || s == SysCapnProto }

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"math/rand/v2"
@@ -239,19 +240,20 @@ func TestEchoModeOrdering(t *testing.T) {
 }
 
 func TestTCPEchoModes(t *testing.T) {
-	for _, mode := range []TCPEchoMode{TCPEchoRaw, TCPEchoFlatBuffers, TCPEchoCornflakes} {
-		t.Run(mode.String(), func(t *testing.T) {
+	arms := []struct {
+		name string
+		mode EchoMode
+		sys  System
+	}{
+		{"Raw packet echo", EchoOneCopy, SysCornflakes},
+		{"FlatBuffers", EchoLib, SysFlatBuffers},
+		{"Cornflakes", EchoLib, SysCornflakes},
+	}
+	for _, a := range arms {
+		t.Run(a.name, func(t *testing.T) {
 			tb := NewTCPTestbed(nic.MellanoxCX6())
-			srv := NewTCPEchoServer(tb.Server, mode)
-			var client loadgen.Client
-			switch mode {
-			case TCPEchoRaw:
-				client = &EchoClient{Mode: EchoNoSer, N: tb.Client, FieldSize: 2048, NumFields: 2}
-			case TCPEchoFlatBuffers:
-				client = &EchoClient{Mode: EchoLib, Sys: SysFlatBuffers, N: tb.Client, FieldSize: 2048, NumFields: 2}
-			default:
-				client = &EchoClient{Mode: EchoLib, Sys: SysCornflakes, N: tb.Client, FieldSize: 2048, NumFields: 2}
-			}
+			srv := NewEchoServer(tb.Server, a.mode, a.sys, 2048, 2)
+			client := &EchoClient{Mode: a.mode, Sys: a.sys, N: tb.Client, FieldSize: 2048, NumFields: 2}
 			res := loadgen.Run(loadgen.Config{
 				Eng: tb.Eng, EP: tb.Client.TCP,
 				Gen: genNop{}, Client: client,
@@ -262,6 +264,45 @@ func TestTCPEchoModes(t *testing.T) {
 			}
 			if tb.Client.TCP.Retransmits != 0 || tb.Server.TCP.Retransmits != 0 {
 				t.Error("unexpected retransmissions on a clean link")
+			}
+		})
+	}
+}
+
+// Server configurations whose replies need UDP-only sends must fail when
+// built on a TCP node, naming the combination, instead of crashing on the
+// first reply; the ones that work over TCP must build.
+func TestTCPServerConstructionChecks(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(n *Node)
+		want  string // panic substring; empty means no panic
+	}{
+		{"kv/Protobuf", func(n *Node) { NewKVServer(n, SysProtobuf) }, "Protobuf KV server"},
+		{"kv/CapnProto", func(n *Node) { NewKVServer(n, SysCapnProto) }, "Cap'n Proto KV server"},
+		{"kv/FlatBuffers", func(n *Node) { NewKVServer(n, SysFlatBuffers) }, ""},
+		{"kv/Cornflakes", func(n *Node) { NewKVServer(n, SysCornflakes) }, ""},
+		{"echo/NoSer", func(n *Node) { NewEchoServer(n, EchoNoSer, SysCornflakes, 64, 1) }, "echo server (No serialization"},
+		{"echo/ZeroCopy", func(n *Node) { NewEchoServer(n, EchoZeroCopy, SysCornflakes, 64, 1) }, "echo server (Zero-copy"},
+		{"echo/Protobuf", func(n *Node) { NewEchoServer(n, EchoLib, SysProtobuf, 64, 1) }, "Protobuf"},
+		{"echo/CapnProto", func(n *Node) { NewEchoServer(n, EchoLib, SysCapnProto, 64, 1) }, "Cap'n Proto"},
+		{"echo/OneCopy", func(n *Node) { NewEchoServer(n, EchoOneCopy, SysCornflakes, 64, 1) }, ""},
+		{"echo/TwoCopy", func(n *Node) { NewEchoServer(n, EchoTwoCopy, SysCornflakes, 64, 1) }, ""},
+		{"echo/FlatBuffers", func(n *Node) { NewEchoServer(n, EchoLib, SysFlatBuffers, 64, 1) }, ""},
+		{"echo/Cornflakes", func(n *Node) { NewEchoServer(n, EchoLib, SysCornflakes, 64, 1) }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				tc.build(NewTCPTestbed(nic.MellanoxCX6()).Server)
+			}()
+			switch msg, _ := got.(string); {
+			case tc.want == "" && got != nil:
+				t.Errorf("unexpected panic: %v", got)
+			case tc.want != "" && !strings.Contains(msg, tc.want):
+				t.Errorf("panic = %v, want a message containing %q", got, tc.want)
 			}
 		})
 	}

@@ -1,11 +1,13 @@
 package driver
 
 import (
+	"fmt"
+
 	"cornflakes/internal/baselines"
 	"cornflakes/internal/core"
 	"cornflakes/internal/mem"
 	"cornflakes/internal/msgs"
-	"cornflakes/internal/sim"
+	"cornflakes/internal/trace"
 	"cornflakes/internal/wire"
 	"cornflakes/internal/workloads"
 )
@@ -50,7 +52,8 @@ func (m EchoMode) String() string {
 
 // EchoServer is the echo application of §2.2 and §6.1.2: almost no
 // application processing; the server deserializes and reserializes a list
-// of fixed-size fields.
+// of fixed-size fields. It runs over the node's UDP stack (Figures 1–2) or
+// its TCP connection (Figure 9, §6.2.3: the Demikernel TCP integration).
 type EchoServer struct {
 	N         *Node
 	Mode      EchoMode
@@ -59,43 +62,45 @@ type EchoServer struct {
 	NumFields int
 
 	Handled, Errors uint64
+
+	pl Pipeline
 }
 
-// NewEchoServer attaches an echo server to the node's UDP stack.
+// NewEchoServer attaches an echo server to the node's stack. EchoNoSer and
+// EchoZeroCopy post pinned buffers, and EchoLib with Protobuf or Cap'n
+// Proto sends through UDP-only paths, so those panic on a TCP node.
 func NewEchoServer(n *Node, mode EchoMode, sys System, fieldSize, numFields int) *EchoServer {
+	if mode == EchoNoSer || mode == EchoZeroCopy || mode == EchoLib && sys.docNeedsUDP() {
+		n.requireUDP(fmt.Sprintf("echo server (%v, %v)", mode, sys))
+	}
 	s := &EchoServer{N: n, Mode: mode, Sys: sys, FieldSize: fieldSize, NumFields: numFields}
-	n.UDP.SetRecvHandler(s.onPayload)
+	s.pl.Init(n, trace.PhaseHandle, s.serve)
+	n.transport().SetRecvHandler(func(p *mem.Buf) { s.pl.Submit(Req{P: p}) })
 	return s
 }
 
-func (s *EchoServer) onPayload(p *mem.Buf) {
-	ok := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		s.handle(p)
-		s.N.Arena.Reset()
-		return s.N.Meter.DrainTime()
-	}})
-	if !ok {
-		p.DecRef()
-	}
-}
+// StageUtilization is the utilization of the server's host core.
+func (s *EchoServer) StageUtilization() float64 { return s.pl.StageUtilization() }
 
-func (s *EchoServer) handle(p *mem.Buf) {
+func (s *EchoServer) serve(r Req) {
+	p := r.P
 	s.Handled++
+	if s.Mode == EchoLib {
+		s.handleLib(p)
+		return
+	}
+	defer p.DecRef()
 	m := s.N.Meter
+	var err error
 	switch s.Mode {
 	case EchoNoSer:
 		// Bounce the pinned RX buffer straight back.
-		if err := s.N.UDP.SendPinned([]*mem.Buf{p}, true); err != nil {
-			s.Errors++
-		}
-		p.DecRef()
+		err = s.N.UDP.SendPinned([]*mem.Buf{p}, true)
 
 	case EchoZeroCopy:
 		// Respond with id + each field as its own raw gather entry.
-		want := 8 + s.FieldSize*s.NumFields
-		if p.Len() < want {
+		if p.Len() < 8+s.FieldSize*s.NumFields {
 			s.Errors++
-			p.DecRef()
 			return
 		}
 		bufs := make([]*mem.Buf, 0, 1+s.NumFields)
@@ -103,19 +108,13 @@ func (s *EchoServer) handle(p *mem.Buf) {
 		for i := 0; i < s.NumFields; i++ {
 			bufs = append(bufs, p.SubView(8+i*s.FieldSize, s.FieldSize))
 		}
-		if err := s.N.UDP.SendPinned(bufs, true); err != nil {
-			s.Errors++
-		}
+		err = s.N.UDP.SendPinned(bufs, true)
 		for _, b := range bufs {
 			b.DecRef() // our view references; the NIC holds its own
 		}
-		p.DecRef()
 
 	case EchoOneCopy:
-		if err := s.N.UDP.SendContiguous(p.Bytes(), p.SimAddr()); err != nil {
-			s.Errors++
-		}
-		p.DecRef()
+		err = s.N.transport().SendContiguous(p.Bytes(), p.SimAddr())
 
 	case EchoTwoCopy:
 		// First copy into a contiguous staging buffer, second copy into
@@ -125,13 +124,10 @@ func (s *EchoServer) handle(p *mem.Buf) {
 		m.Charge(m.CPU.ArenaAllocCy)
 		m.Copy(p.SimAddr(), staging.Sim, p.Len())
 		copy(staging.Data, p.Bytes())
-		if err := s.N.UDP.SendContiguous(staging.Data, staging.Sim); err != nil {
-			s.Errors++
-		}
-		p.DecRef()
-
-	case EchoLib:
-		s.handleLib(p)
+		err = s.N.transport().SendContiguous(staging.Data, staging.Sim)
+	}
+	if err != nil {
+		s.Errors++
 	}
 }
 
@@ -155,7 +151,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 			// the threshold recover the RX RcBuf and echo zero-copy.
 			resp.AppendVals(ctx.NewCFPtr(req.Vals(j)))
 		}
-		if err := s.N.UDP.SendObject(resp.Obj()); err != nil {
+		if err := s.N.transport().SendObject(resp.Obj()); err != nil {
 			s.Errors++
 		}
 		resp.Release()
@@ -174,7 +170,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 	for j, v := range req.F[2].B {
 		resp.AddBytes(2, v, req.F[2].Sim[j])
 	}
-	if err := s.Sys.SendDoc(s.N.UDP, resp, m); err != nil {
+	if err := s.Sys.SendDoc(s.N, resp); err != nil {
 		s.Errors++
 	}
 }

@@ -63,14 +63,14 @@ type kvReply struct {
 
 // NewKVServer attaches a KV server to the node's stack: UDP normally, or
 // the TCP-lite stack when the node was built with one (the fault-injection
-// soak drives the KV workload over lossy TCP links).
+// soak drives the KV workload over lossy TCP links). Protobuf and Cap'n
+// Proto reply through UDP-only sends, so they panic on a TCP node.
 func NewKVServer(n *Node, sys System) *KVServer {
-	s := newKVServer(n, sys)
-	if n.TCP != nil {
-		n.TCP.SetRecvHandler(s.onPayload)
-	} else {
-		n.UDP.SetRecvHandler(s.onPayload)
+	if sys.docNeedsUDP() {
+		n.requireUDP(sys.String() + " KV server")
 	}
+	s := newKVServer(n, sys)
+	n.transport().SetRecvHandler(s.onPayload)
 	return s
 }
 
@@ -377,7 +377,7 @@ func (s *KVServer) emit(r kvReply) {
 	m := s.N.Meter
 	m.SetCategory(costmodel.CatSerialize)
 	if s.Sys != SysCornflakes {
-		if err := s.Sys.SendDoc(s.N.UDP, buildDoc(r), m); err != nil {
+		if err := s.Sys.SendDoc(s.N, buildDoc(r)); err != nil {
 			s.Errors++
 		}
 		m.SetCategory(costmodel.CatTx)
@@ -459,8 +459,8 @@ func buildDoc(r kvReply) *baselines.Doc {
 }
 
 // sendObj transmits a Cornflakes object on the configured path. The
-// segmentation and SG-array ablation paths are UDP-only; a TCP-attached
-// server uses the connection's combined serialize-and-send.
+// segmentation and SG-array ablation paths are UDP-only; otherwise the
+// node's transport does the combined serialize-and-send.
 func (s *KVServer) sendObj(obj core.Obj) {
 	var err error
 	switch {
@@ -468,10 +468,8 @@ func (s *KVServer) sendObj(obj core.Obj) {
 		err = s.seg.SendObjectSegmented(obj)
 	case s.UseSGArray:
 		err = s.N.UDP.SendObjectViaSGArray(obj)
-	case s.N.TCP != nil:
-		err = s.N.TCP.SendObject(obj)
 	default:
-		err = s.N.UDP.SendObject(obj)
+		err = s.N.transport().SendObject(obj)
 	}
 	if err != nil {
 		s.Errors++

@@ -98,6 +98,29 @@ type Node struct {
 	Core  *sim.Core
 }
 
+// transport is the send and receive surface of a UDP stack or TCP connection.
+type transport interface {
+	SendContiguous(payload []byte, sim uint64) error
+	SendObject(obj core.Obj) error
+	SetRecvHandler(fn func(payload *mem.Buf))
+}
+
+// transport returns the node's TCP connection if it has one, else its UDP stack.
+func (n *Node) transport() transport {
+	if n.TCP != nil {
+		return n.TCP
+	}
+	return n.UDP
+}
+
+// requireUDP panics, naming the combination, when a server whose replies
+// take UDP-only sends is built on a TCP node, where it would crash mid-run.
+func (n *Node) requireUDP(combo string) {
+	if n.TCP != nil {
+		panic("driver: " + combo + " sends only over UDP, but the node is TCP")
+	}
+}
+
 // rxRingDepth bounds the server's pending-request queue, modelling the RX
 // descriptor ring: overload drops packets instead of queueing unboundedly.
 const rxRingDepth = 1024

@@ -14,9 +14,11 @@ import (
 //
 //	rx → admit → [software RX ring] → host-core job → [offload core] → tx
 //
-// A server embeds one and supplies only its handler: KVServer serves
-// get/getM/list/index/put, rpc.Service serves calls, child replies and
-// notifications. The pipeline owns everything around the handler, each
+// A server supplies only its handler. KVServer (get/getM/list/index/put)
+// and rpc.Service (calls, child replies and notifications) embed one;
+// EchoServer and RedisServer hold one unexported and use only its
+// host-core job (Init and Submit), so none of its settings reach their
+// callers. The pipeline owns everything around the handler, each
 // mechanism modelled once: admission control with explicit shed replies,
 // the host-core job (dispatch mark, crash discard, arena reset, receipts,
 // gray slowdown), crash/recover/gray fault state, and the optional

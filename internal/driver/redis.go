@@ -10,7 +10,7 @@ import (
 	"cornflakes/internal/mem"
 	"cornflakes/internal/msgs"
 	"cornflakes/internal/redis"
-	"cornflakes/internal/sim"
+	"cornflakes/internal/trace"
 	"cornflakes/internal/wire"
 	"cornflakes/internal/workloads"
 )
@@ -25,13 +25,16 @@ type RedisServer struct {
 	Store *kvstore.Store
 
 	Errors uint64
+
+	pl Pipeline
 }
 
 // NewRedisServer builds the server in the given mode.
 func NewRedisServer(n *Node, mode redis.Mode) *RedisServer {
 	store := kvstore.New(n.Alloc, n.Meter)
 	s := &RedisServer{N: n, R: redis.New(store, mode), Store: store}
-	n.UDP.SetRecvHandler(s.onPayload)
+	s.pl.Init(n, trace.PhaseHandle, s.serve)
+	n.UDP.SetRecvHandler(func(p *mem.Buf) { s.pl.Submit(Req{P: p}) })
 	return s
 }
 
@@ -39,19 +42,11 @@ func NewRedisServer(n *Node, mode redis.Mode) *RedisServer {
 // KVServer.Preload (multi-segment values allocated non-contiguously).
 func (s *RedisServer) Preload(recs []workloads.KV) { preload(s.N, s.Store, recs) }
 
-func (s *RedisServer) onPayload(p *mem.Buf) {
-	ok := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		s.handle(p)
-		s.N.Arena.Reset()
-		s.N.Meter.SetCategory(costmodel.CatRx)
-		return s.N.Meter.DrainTime()
-	}})
-	if !ok {
-		p.DecRef()
-	}
-}
+// StageUtilization is the utilization of the server's host core.
+func (s *RedisServer) StageUtilization() float64 { return s.pl.StageUtilization() }
 
-func (s *RedisServer) handle(p *mem.Buf) {
+func (s *RedisServer) serve(r Req) {
+	p := r.P
 	if s.R.Mode == redis.ModeRESP {
 		defer p.DecRef()
 		id, cmd, ok := redis.DecodeRESPRequest(p.Bytes())
@@ -86,81 +81,71 @@ func (s *RedisServer) handleCF(p *mem.Buf) {
 	body := p.SubView(1, p.Len()-1)
 	p.DecRef()
 
-	var req redis.CFRequest
 	m.SetCategory(costmodel.CatDeserialize)
+	var schema *core.Schema
 	switch op {
 	case redis.CmdGet, redis.CmdLRange:
-		msg, err := msgs.DeserializeGetReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		req = redis.CFRequest{ID: msg.Id(), Key: msg.Key()}
-		defer msg.Release()
+		schema = msgs.GetReqSchema
 	case redis.CmdMGet:
-		msg, err := msgs.DeserializeGetM(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		req = redis.CFRequest{ID: msg.Id()}
-		for j := 0; j < msg.KeysLen(); j++ {
-			req.Keys = append(req.Keys, msg.Keys(j))
-		}
-		defer msg.Release()
+		schema = msgs.GetMSchema
 	case redis.CmdSet:
-		msg, err := msgs.DeserializePutReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		req = redis.CFRequest{ID: msg.Id(), Key: msg.Key(), Val: msg.Val()}
-		defer msg.Release()
+		schema = msgs.PutReqSchema
 	default:
 		s.Errors++
 		body.DecRef()
 		return
 	}
+	msg, err := ctx.Deserialize(schema, body)
+	if err != nil {
+		s.Errors++
+		body.DecRef()
+		return
+	}
+	defer msg.Release()
+	req := redis.CFRequest{ID: msg.GetInt(0)}
+	switch op {
+	case redis.CmdMGet:
+		for j := 0; j < msg.ListLen(1); j++ {
+			req.Keys = append(req.Keys, msg.GetBytesElem(1, j))
+		}
+	case redis.CmdSet:
+		req.Key, req.Val = msg.GetBytes(1), msg.GetBytes(2)
+	default:
+		req.Key = msg.GetBytes(1)
+	}
 
 	m.SetCategory(costmodel.CatApp)
 	reply := s.R.HandleCF(op, req)
 	m.SetCategory(costmodel.CatSerialize)
+	var resp *core.Message
 	switch {
 	case reply.OK:
-		resp := msgs.NewPutResp(ctx)
-		resp.SetId(reply.ID)
-		resp.SetOk(1)
-		s.send(resp.Obj())
-		resp.Release()
+		put := msgs.NewPutResp(ctx)
+		put.SetId(reply.ID)
+		put.SetOk(1)
+		resp = put.M
 	case reply.Multi:
-		resp := msgs.NewGetListResp(ctx)
-		resp.SetId(reply.ID)
+		list := msgs.NewGetListResp(ctx)
+		list.SetId(reply.ID)
 		for _, v := range reply.Vals {
 			if v != nil {
-				resp.AppendVals(ctx.NewCFPtr(v.Bytes()))
+				list.AppendVals(ctx.NewCFPtr(v.Bytes()))
 			}
 		}
-		s.send(resp.Obj())
-		resp.Release()
+		resp = list.M
 	default:
-		resp := msgs.NewGetResp(ctx)
-		resp.SetId(reply.ID)
+		get := msgs.NewGetResp(ctx)
+		get.SetId(reply.ID)
 		if len(reply.Vals) == 1 && reply.Vals[0] != nil {
-			resp.SetVal(ctx.NewCFPtr(reply.Vals[0].Bytes()))
+			get.SetVal(ctx.NewCFPtr(reply.Vals[0].Bytes()))
 		}
-		s.send(resp.Obj())
-		resp.Release()
+		resp = get.M
 	}
-	m.SetCategory(costmodel.CatTx)
-}
-
-func (s *RedisServer) send(obj core.Obj) {
-	if err := s.N.UDP.SendObject(obj); err != nil {
+	if err := s.N.UDP.SendObject(resp); err != nil {
 		s.Errors++
 	}
+	resp.Release()
+	m.SetCategory(costmodel.CatTx)
 }
 
 // RedisClient encodes workload requests as Redis commands for either mode.

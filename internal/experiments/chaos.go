@@ -288,23 +288,7 @@ func Chaos(sc Scale) *Report {
 			"eff p99 µs", "timeout %", "hedge l/w/w", "downed", "downdrops", "silent"},
 	}
 
-	// Per-node capacity probe, identical to the cluster experiment's.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, float64) {
-		gen := workloads.NewYCSBTheta(sc.StoreKeys, 128, 1, clusterBalancedTheta)
-		c := driver.NewClusterTestbed(1, 1, driver.SysCornflakes,
-			nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
-		c.Preload(gen.Records(), 1)
-		res := loadgen.Run(loadgen.Config{
-			Eng: c.Eng, EP: c.Clients[0].UDP,
-			Gen: gen, Client: c.NewClient(0, driver.SysCornflakes, 1),
-			RatePerS: rate,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
-			Seed:     41, ClientID: 1,
-		})
-		return res, c.Servers[0].N.Core.Utilization()
-	}, 100_000)
-	capRps := capRes.AchievedRps
+	capRps := clusterNodeCapacity(sc)
 	if capRps <= 0 {
 		r.AddCheck("capacity: estimator produced a usable operating point", false,
 			"capacity estimate %.0f rps", capRps)

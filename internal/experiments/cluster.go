@@ -210,20 +210,12 @@ const (
 // past it — the regime where routing, not raw capacity, decides the tail.
 const clusterHotFactor = 0.65
 
-// Cluster sweeps node count × per-node load across the rack and checks
-// scaling, hot-shard tails, read-spread relief, routing, and accounting.
-func Cluster(sc Scale) *Report {
-	r := &Report{
-		ID:    "cluster",
-		Title: "Cluster scale-out: sharded KV over a ToR switch",
-		Header: []string{"nodes", "theta", "R", "offered/client rps", "agg goodput rps",
-			"hot share", "eff p99 µs", "timeout %", "misrouted"},
-	}
-
-	// Per-node capacity probe: a 1-server, 1-client rack. The switch adds
-	// two port hops and its latency, but capacity stays core-bound, so the
-	// estimate transfers to every grid cell.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, float64) {
+// clusterNodeCapacity is the per-node capacity probe the cluster and chaos
+// experiments share: a 1-server, 1-client rack. The switch adds two port
+// hops and its latency, but capacity stays core-bound, so the estimate
+// transfers to every rack size.
+func clusterNodeCapacity(sc Scale) float64 {
+	return capacityOf(func(rate float64) (loadgen.Result, float64) {
 		gen := workloads.NewYCSBTheta(sc.StoreKeys, 128, 1, clusterBalancedTheta)
 		c := driver.NewClusterTestbed(1, 1, driver.SysCornflakes,
 			nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
@@ -237,8 +229,20 @@ func Cluster(sc Scale) *Report {
 			Seed:     41, ClientID: 1,
 		})
 		return res, c.Servers[0].N.Core.Utilization()
-	}, 100_000)
-	capRps := capRes.AchievedRps
+	}, 100_000).AchievedRps
+}
+
+// Cluster sweeps node count × per-node load across the rack and checks
+// scaling, hot-shard tails, read-spread relief, routing, and accounting.
+func Cluster(sc Scale) *Report {
+	r := &Report{
+		ID:    "cluster",
+		Title: "Cluster scale-out: sharded KV over a ToR switch",
+		Header: []string{"nodes", "theta", "R", "offered/client rps", "agg goodput rps",
+			"hot share", "eff p99 µs", "timeout %", "misrouted"},
+	}
+
+	capRps := clusterNodeCapacity(sc)
 	if capRps <= 0 {
 		r.AddCheck("capacity: estimator produced a usable operating point", false,
 			"capacity estimate %.0f rps", capRps)

@@ -17,21 +17,29 @@ func Fig9(sc Scale) *Report {
 		Title:  "TCP echo latency percentiles (two 2048B fields)",
 		Header: []string{"system", "p5", "p25", "p50", "p75", "p99 (us)"},
 	}
-	run := func(mode driver.TCPEchoMode) (*loadgen.Histogram, float64) {
+	arms := []struct {
+		label string
+		mode  driver.EchoMode
+		sys   driver.System
+	}{
+		{"Raw packet echo", driver.EchoOneCopy, driver.SysCornflakes},
+		{"FlatBuffers", driver.EchoLib, driver.SysFlatBuffers},
+		{"Cornflakes", driver.EchoLib, driver.SysCornflakes},
+	}
+	const raw, fb, cf = 0, 1, 2
+	type armRes struct {
+		h      *loadgen.Histogram
+		perReq float64
+	}
+	perArm := make([]armRes, len(arms))
+	forEach(sc.workers(), len(arms), func(i int) {
+		a := arms[i]
 		tb := driver.NewTCPTestbed(nic.MellanoxCX6())
-		driver.NewTCPEchoServer(tb.Server, mode)
-		var client loadgen.Client
-		switch mode {
-		case driver.TCPEchoRaw:
-			client = &driver.EchoClient{Mode: driver.EchoNoSer, N: tb.Client, FieldSize: 2048, NumFields: 2}
-		case driver.TCPEchoFlatBuffers:
-			client = &driver.EchoClient{Mode: driver.EchoLib, Sys: driver.SysFlatBuffers, N: tb.Client, FieldSize: 2048, NumFields: 2}
-		default:
-			client = &driver.EchoClient{Mode: driver.EchoLib, Sys: driver.SysCornflakes, N: tb.Client, FieldSize: 2048, NumFields: 2}
-		}
+		driver.NewEchoServer(tb.Server, a.mode, a.sys, 2048, 2)
 		res := loadgen.Run(loadgen.Config{
 			Eng: tb.Eng, EP: tb.Client.TCP,
-			Gen: nopGen{}, Client: client,
+			Gen:    nopGen{},
+			Client: &driver.EchoClient{Mode: a.mode, Sys: a.sys, N: tb.Client, FieldSize: 2048, NumFields: 2},
 			// Fixed moderate load: the figure reports latency, not
 			// saturation ("we encountered an issue sending at high packet
 			// rates", §6.2.3 fn.9).
@@ -40,26 +48,12 @@ func Fig9(sc Scale) *Report {
 			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 			Seed:     100,
 		})
-		perReq := float64(tb.Server.Core.BusyTime) / float64(tb.Server.Core.JobsDone)
-		return res.Latency, perReq
-	}
-	modes := []driver.TCPEchoMode{driver.TCPEchoRaw, driver.TCPEchoFlatBuffers, driver.TCPEchoCornflakes}
-	type modeRes struct {
-		h      *loadgen.Histogram
-		perReq float64
-	}
-	perMode := make([]modeRes, len(modes))
-	forEach(sc.workers(), len(modes), func(i int) {
-		perMode[i].h, perMode[i].perReq = run(modes[i])
+		perArm[i] = armRes{res.Latency, float64(tb.Server.Core.BusyTime) / float64(tb.Server.Core.JobsDone)}
 	})
-	hists := map[driver.TCPEchoMode]*loadgen.Histogram{}
-	service := map[driver.TCPEchoMode]float64{}
-	for i, mode := range modes {
-		h := perMode[i].h
-		hists[mode] = h
-		service[mode] = perMode[i].perReq
+	for i, a := range arms {
+		h := perArm[i].h
 		r.Rows = append(r.Rows, []string{
-			mode.String(),
+			a.label,
 			f1(h.Quantile(0.05).Microseconds()),
 			f1(h.Quantile(0.25).Microseconds()),
 			f1(h.Quantile(0.50).Microseconds()),
@@ -67,17 +61,17 @@ func Fig9(sc Scale) *Report {
 			f1(h.Quantile(0.99).Microseconds()),
 		})
 	}
-	cf99 := hists[driver.TCPEchoCornflakes].Quantile(0.99).Microseconds()
-	fb99 := hists[driver.TCPEchoFlatBuffers].Quantile(0.99).Microseconds()
-	raw99 := hists[driver.TCPEchoRaw].Quantile(0.99).Microseconds()
+	cf99 := perArm[cf].h.Quantile(0.99).Microseconds()
+	fb99 := perArm[fb].h.Quantile(0.99).Microseconds()
+	raw99 := perArm[raw].h.Quantile(0.99).Microseconds()
 	r.AddCheck("Cornflakes tail below FlatBuffers over TCP",
 		cf99 < fb99, "p99: CF %.1f vs FB %.1f us", cf99, fb99)
 	r.AddCheck("Cornflakes adds modest overhead over raw packet echo",
 		cf99 >= raw99 && cf99-raw99 < 40,
 		"p99: CF %.1f vs raw %.1f us (+%.1f)", cf99, raw99, cf99-raw99)
 	r.AddCheck("server cycles per echo: Cornflakes below FlatBuffers",
-		service[driver.TCPEchoCornflakes] < service[driver.TCPEchoFlatBuffers],
+		perArm[cf].perReq < perArm[fb].perReq,
 		"service: raw %.0f, CF %.0f, FB %.0f ps/req",
-		service[driver.TCPEchoRaw], service[driver.TCPEchoCornflakes], service[driver.TCPEchoFlatBuffers])
+		perArm[raw].perReq, perArm[cf].perReq, perArm[fb].perReq)
 	return r
 }

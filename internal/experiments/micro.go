@@ -295,7 +295,8 @@ func splitmix(x uint64) uint64 {
 }
 
 // microMaxGbps measures the highest achieved response throughput for one
-// microbenchmark configuration.
+// microbenchmark configuration. Every response in a configuration has the
+// same size, so maxTput's best point by req/s is also the best by Gbps.
 func microMaxGbps(mode microMode, nCores, segSize, count, workingSet int, sc Scale, seed uint64) float64 {
 	run := func(rate float64) loadgen.Result {
 		eng := sim.NewEngine()
@@ -315,28 +316,5 @@ func microMaxGbps(mode microMode, nCores, segSize, count, workingSet int, sc Sca
 			Seed:     seed,
 		})
 	}
-	rate := 150_000 * float64(nCores)
-	lastGood := rate / 2
-	best := 0.0
-	saturated := false
-	for i := 0; i < 9; i++ {
-		res := run(rate)
-		if res.AchievedGbps > best {
-			best = res.AchievedGbps
-		}
-		if res.AchievedRps < 0.90*res.SentRps {
-			saturated = true
-			break
-		}
-		lastGood = rate
-		rate *= 2
-	}
-	if saturated {
-		for _, r := range loadgen.GeometricRates(lastGood*1.15, rate*0.85, 3) {
-			if res := run(r); res.AchievedGbps > best {
-				best = res.AchievedGbps
-			}
-		}
-	}
-	return best
+	return maxTput(run, 150_000*float64(nCores)).AchievedGbps
 }

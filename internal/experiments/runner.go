@@ -161,19 +161,14 @@ func maxTput(run func(rate float64) loadgen.Result, start float64) loadgen.Resul
 	return best
 }
 
-// kvMaxTput measures the highest achieved throughput for one KV config.
-func kvMaxTput(o kvOpts) loadgen.Result {
-	return maxTput(func(rate float64) loadgen.Result { return runKVAt(o, rate) }, 100_000)
-}
-
 // kvSweep runs a ladder of offered loads and returns all points plus the
 // best per the 95% rule. Ladder points are independent (fresh testbed
 // each), so they fan out across the scale's worker budget.
 func kvSweep(o kvOpts, lo, hi float64) ([]loadgen.Result, loadgen.Result) {
 	rates := loadgen.GeometricRates(lo, hi, o.Scale.SweepPoints)
-	return loadgen.SweepN(rates, o.Scale.workers(), func(rate float64) loadgen.Result {
-		return runKVAt(o, rate)
-	})
+	points := make([]loadgen.Result, len(rates))
+	forEach(o.Scale.workers(), len(rates), func(i int) { points[i] = runKVAt(o, rates[i]) })
+	return points, loadgen.Best(points)
 }
 
 // --- Redis runners ---
@@ -197,7 +192,7 @@ func runRedisAtCore(o redisOpts, rate float64) (loadgen.Result, float64) {
 		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed + 2,
 	})
-	return res, tb.Server.Core.Utilization()
+	return res, srv.StageUtilization()
 }
 
 func runRedisAt(o redisOpts, rate float64) loadgen.Result {
@@ -212,15 +207,11 @@ func redisCapacity(o redisOpts) loadgen.Result {
 	}, 100_000)
 }
 
-func redisMaxTput(o redisOpts) loadgen.Result {
-	return maxTput(func(rate float64) loadgen.Result { return runRedisAt(o, rate) }, 100_000)
-}
-
 func redisSweep(o redisOpts, lo, hi float64, points int) ([]loadgen.Result, loadgen.Result) {
 	rates := loadgen.GeometricRates(lo, hi, points)
-	return loadgen.SweepN(rates, o.Scale.workers(), func(rate float64) loadgen.Result {
-		return runRedisAt(o, rate)
-	})
+	res := make([]loadgen.Result, len(rates))
+	forEach(o.Scale.workers(), len(rates), func(i int) { res[i] = runRedisAt(o, rates[i]) })
+	return res, loadgen.Best(res)
 }
 
 // --- Echo runners ---
@@ -236,7 +227,7 @@ type echoOpts struct {
 
 func runEchoAtCore(o echoOpts, rate float64) (loadgen.Result, float64) {
 	tb := driver.NewTestbed(nic.MellanoxCX6())
-	driver.NewEchoServer(tb.Server, o.Mode, o.Sys, o.FieldSize, o.NumFields)
+	srv := driver.NewEchoServer(tb.Server, o.Mode, o.Sys, o.FieldSize, o.NumFields)
 	client := &driver.EchoClient{Mode: o.Mode, Sys: o.Sys, N: tb.Client, FieldSize: o.FieldSize, NumFields: o.NumFields}
 	res := loadgen.Run(loadgen.Config{
 		Eng: tb.Eng, EP: tb.Client.UDP,
@@ -246,12 +237,7 @@ func runEchoAtCore(o echoOpts, rate float64) (loadgen.Result, float64) {
 		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed + 3,
 	})
-	return res, tb.Server.Core.Utilization()
-}
-
-func runEchoAt(o echoOpts, rate float64) loadgen.Result {
-	res, _ := runEchoAtCore(o, rate)
-	return res
+	return res, srv.StageUtilization()
 }
 
 // echoCapacity is capacityOf for an echo configuration.
@@ -259,10 +245,6 @@ func echoCapacity(o echoOpts) loadgen.Result {
 	return capacityOf(func(rate float64) (loadgen.Result, float64) {
 		return runEchoAtCore(o, rate)
 	}, 200_000)
-}
-
-func echoMaxTput(o echoOpts) loadgen.Result {
-	return maxTput(func(rate float64) loadgen.Result { return runEchoAt(o, rate) }, 200_000)
 }
 
 // nopGen feeds the echo client, which ignores the request shape.

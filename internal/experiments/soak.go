@@ -156,7 +156,7 @@ func soakFinish(res *SoakResult, tb *driver.Testbed, clientBase, serverBase int6
 func SoakEcho(seed uint64) SoakResult {
 	res := SoakResult{Workload: "echo", Seed: seed, Total: soakMessages}
 	tb := driver.NewTCPTestbed(nic.MellanoxCX6())
-	driver.NewTCPEchoServer(tb.Server, driver.TCPEchoRaw)
+	driver.NewEchoServer(tb.Server, driver.EchoOneCopy, driver.SysCornflakes, 0, 0)
 	ab, ba := faults.Apply(soakPlan(seed), tb.Client.TCP.Port, tb.Server.TCP.Port)
 
 	clientBase := tb.Client.Alloc.Stats().SlotsInUse

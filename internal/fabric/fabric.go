@@ -234,13 +234,7 @@ func (s *Switch) egressDone(q *swPort, rec nic.TxRecord) {
 // port: doorbell + per-entry + DMA occupancy, plus pipeline latency, plus
 // wire serialization — the same terms nic.Port charges, with no queueing.
 func unloadedNs(prof nic.Profile, bytes, entries int) float64 {
-	db := prof.DoorbellNs
-	if db < 0 { // ExplicitZero: genuinely free doorbell
-		db = 0
-	} else if db == 0 {
-		db = prof.PacketOccupancyNs
-	}
-	occ := db + prof.EntryOccupancyNs*float64(entries) + float64(bytes)*8/prof.DMAGbps
+	occ := prof.DoorbellOccupancyNs() + prof.EntryOccupancyNs*float64(entries) + float64(bytes)*8/prof.DMAGbps
 	lat := prof.PerPacketNs + prof.PerEntryDMANs*float64(entries)
 	wire := float64(bytes) * 8 / prof.LinkGbps
 	return occ + lat + wire

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cornflakes/internal/mem"
 	"cornflakes/internal/sim"
@@ -630,53 +628,18 @@ func RunMany(cfgs []Config) []Result {
 	return out
 }
 
-// Sweep runs the given run function across offered loads and returns every
-// point plus the highest achieved load among points where achieved ≥ 95% of
-// offered (the paper's reporting rule).
-func Sweep(rates []float64, run func(rate float64) Result) (points []Result, best Result) {
-	return SweepN(rates, 1, run)
-}
-
-// SweepN is Sweep with the ladder points measured concurrently on up to
-// workers goroutines. Each call to run must be independent (every
-// experiment runner builds a fresh engine and testbed per point, so they
-// are); points come back in ladder order and the best-point selection runs
-// over that ordered slice, so the result is identical at any width.
-func SweepN(rates []float64, workers int, run func(rate float64) Result) (points []Result, best Result) {
-	points = make([]Result, len(rates))
-	if workers > len(rates) {
-		workers = len(rates)
-	}
-	if workers <= 1 {
-		for i, rate := range rates {
-			points[i] = run(rate)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for k := 0; k < workers; k++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(rates) {
-						return
-					}
-					points[i] = run(rates[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+// Best picks a sweep's reported point: the highest achieved load among
+// points where achieved ≥ 95% of offered (the paper's reporting rule). If
+// nothing met the rule (all overloaded), it reports the highest achieved
+// load, like the paper's "highest achieved throughput across all offered
+// loads".
+func Best(points []Result) Result {
+	var best Result
 	for _, res := range points {
 		if res.AchievedRps >= 0.95*res.OfferedRps && res.AchievedRps > best.AchievedRps {
 			best = res
 		}
 	}
-	// If nothing met the 95% rule (all overloaded), report the highest
-	// achieved load like the paper's "highest achieved throughput across
-	// all offered loads".
 	if best.AchievedRps == 0 {
 		for _, p := range points {
 			if p.AchievedRps > best.AchievedRps {
@@ -684,7 +647,7 @@ func SweepN(rates []float64, workers int, run func(rate float64) Result) (points
 			}
 		}
 	}
-	return points, best
+	return best
 }
 
 // GeometricRates builds a rate ladder from lo to hi with the given number

@@ -224,15 +224,18 @@ func TestSweep(t *testing.T) {
 		}
 		return Result{OfferedRps: rate, AchievedRps: ach, Latency: NewHistogram()}
 	}
-	points, best := Sweep([]float64{50, 90, 100, 150, 300}, run)
-	if len(points) != 5 {
-		t.Fatal("wrong point count")
+	sweep := func(rates ...float64) Result {
+		points := make([]Result, len(rates))
+		for i, rate := range rates {
+			points[i] = run(rate)
+		}
+		return Best(points)
 	}
-	if best.AchievedRps != 100 {
+	if best := sweep(50, 90, 100, 150, 300); best.AchievedRps != 100 {
 		t.Errorf("best achieved = %v, want 100", best.AchievedRps)
 	}
 	// All overloaded: fall back to max achieved.
-	_, best = Sweep([]float64{300, 400}, run)
+	best := sweep(300, 400)
 	if best.AchievedRps != 100 {
 		t.Errorf("fallback best = %v", best.AchievedRps)
 	}

@@ -399,20 +399,20 @@ func (e *ErrTooManyEntries) Error() string {
 	return fmt.Sprintf("nic: %d scatter-gather entries exceeds hardware limit %d", e.Entries, e.Max)
 }
 
-// doorbellNs returns the per-doorbell DMA occupancy: the explicit
-// DoorbellNs knob if set, else PacketOccupancyNs (the default profiles fold
-// the doorbell cost into the per-packet cost). A negative DoorbellNs
-// (ExplicitZero) means a genuinely free doorbell — without the sentinel a
-// zero-cost doorbell was indistinguishable from "unset" and silently
-// charged the per-packet fallback.
-func (p *Port) doorbellNs() float64 {
-	if p.prof.DoorbellNs < 0 {
+// DoorbellOccupancyNs returns the per-doorbell DMA occupancy: the
+// explicit DoorbellNs knob if set, else PacketOccupancyNs (the default
+// profiles fold the doorbell cost into the per-packet cost). A negative
+// DoorbellNs (ExplicitZero) means a genuinely free doorbell — without the
+// sentinel a zero-cost doorbell was indistinguishable from "unset" and
+// silently charged the per-packet fallback.
+func (p Profile) DoorbellOccupancyNs() float64 {
+	if p.DoorbellNs < 0 {
 		return 0
 	}
-	if p.prof.DoorbellNs > 0 {
-		return p.prof.DoorbellNs
+	if p.DoorbellNs > 0 {
+		return p.DoorbellNs
 	}
-	return p.prof.PacketOccupancyNs
+	return p.PacketOccupancyNs
 }
 
 // Send posts a frame described by a gather list. The NIC asynchronously:
@@ -426,7 +426,7 @@ func (p *Port) doorbellNs() float64 {
 // safety model explicitly does not protect against.
 func (p *Port) Send(entries []SGEntry) error {
 	p.TxDoorbells++
-	return p.send(entries, p.doorbellNs())
+	return p.send(entries, p.prof.DoorbellOccupancyNs())
 }
 
 // SendBatch posts a burst of frames under amortized doorbells: frames are
@@ -448,7 +448,7 @@ func (p *Port) SendBatch(frames [][]SGEntry) (int, error) {
 		db := 0.0
 		if i%burst == 0 {
 			p.TxDoorbells++
-			db = p.doorbellNs()
+			db = p.prof.DoorbellOccupancyNs()
 		}
 		if err := p.send(f, db); err != nil {
 			return i, err
