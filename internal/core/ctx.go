@@ -55,6 +55,9 @@ type Ctx struct {
 	// hitting the heap once the pool reaches steady state. A Ctx belongs to
 	// one simulated core (single goroutine), so the pool needs no locking.
 	msgPool map[*Schema][]*Message
+
+	// ptrScratch is Release's reused AppendPtrs buffer.
+	ptrScratch []CFPtr
 }
 
 // getMsg pops a pooled message for schema, or returns nil.

@@ -29,19 +29,20 @@ func (l Layout) ObjectLen() int { return l.HeaderLen + l.CopyLen + l.ZCLen }
 
 // Obj is the CornflakesObj protocol (Listing 1): instead of a serialize
 // call producing a buffer, objects expose their layout, write their header
-// region, and iterate copy and zero-copy entries so the co-designed
-// networking stack can serialize directly into transmit descriptors.
+// region, and list their field pointers so the co-designed networking stack
+// can serialize directly into transmit descriptors.
 type Obj interface {
 	Layout() Layout
 	// WriteHeader writes the complete header region into dst (which has at
 	// least Layout().HeaderLen bytes and represents object offset 0).
 	WriteHeader(dst []byte)
-	// IterateCopyEntries yields each copied payload in layout order; the
-	// stack copies them contiguously after the header region.
-	IterateCopyEntries(fn func(data []byte, sim uint64))
-	// IterateZCEntries yields each zero-copy buffer in layout order; the
-	// stack posts one scatter-gather entry per buffer.
-	IterateZCEntries(fn func(buf *mem.Buf))
+	// AppendPtrs appends every field pointer of the object tree to dst in
+	// the canonical serialization order and returns the extended slice.
+	// The copied pointers, in that order, are the copy region laid out
+	// contiguously after the header; the zero-copy ones, in that order,
+	// are the scatter-gather entries after it. Callers pass a reused
+	// scratch slice, so the walk allocates nothing once it has grown.
+	AppendPtrs(dst []CFPtr) []CFPtr
 }
 
 // fieldVal holds one field's send-side value.
@@ -300,8 +301,8 @@ func (s *serializer) allocAux(n int) int {
 }
 
 // place assigns a data offset to a CFPtr payload according to its variant.
-// The assignment order matches IterateCopyEntries/IterateZCEntries exactly:
-// both are the same depth-first schema-order walk.
+// The assignment order matches AppendPtrs exactly: both are the same
+// depth-first schema-order walk.
 func (s *serializer) place(p CFPtr) uint32 {
 	if p.IsZeroCopy() {
 		off := s.zcOff
@@ -383,28 +384,11 @@ func (m *Message) writeMsg(s *serializer, base int) {
 	}
 }
 
-// IterateCopyEntries implements Obj. The walk order matches place().
-func (m *Message) IterateCopyEntries(fn func(data []byte, sim uint64)) {
-	m.walkPtrs(func(p CFPtr) {
-		if !p.IsZeroCopy() {
-			fn(p.Bytes(), p.Sim())
-		}
-	})
-}
-
-// IterateZCEntries implements Obj. The walk order matches place().
-func (m *Message) IterateZCEntries(fn func(buf *mem.Buf)) {
-	m.walkPtrs(func(p CFPtr) {
-		if p.IsZeroCopy() {
-			fn(p.ZCBuf())
-		}
-	})
-}
-
-// walkPtrs visits every CFPtr in the object tree in the canonical
-// serialization order: schema order, list elements in order, nested
-// messages inline at their field position.
-func (m *Message) walkPtrs(fn func(p CFPtr)) {
+// AppendPtrs implements Obj: every CFPtr in the object tree in the
+// canonical serialization order — schema order, list elements in order,
+// nested messages inline at their field position. The walk order matches
+// place().
+func (m *Message) AppendPtrs(dst []CFPtr) []CFPtr {
 	for i := range m.vals {
 		v := &m.vals[i]
 		if !v.set {
@@ -412,15 +396,14 @@ func (m *Message) walkPtrs(fn func(p CFPtr)) {
 		}
 		switch m.schema.Fields[i].Kind {
 		case KindBytes, KindString, KindBytesList, KindStringList:
-			for _, p := range v.ptrs {
-				fn(p)
-			}
+			dst = append(dst, v.ptrs...)
 		case KindNested, KindNestedList:
 			for _, sub := range v.msgs {
-				sub.walkPtrs(fn)
+				dst = sub.AppendPtrs(dst)
 			}
 		}
 	}
+	return dst
 }
 
 // Release drops every zero-copy reference the message holds (send side) and
@@ -441,7 +424,12 @@ func (m *Message) Release() {
 		}
 		return
 	}
-	m.walkPtrs(func(p CFPtr) { p.Release(m.ctx.Meter) })
+	ptrs := m.AppendPtrs(m.ctx.ptrScratch[:0])
+	for _, p := range ptrs {
+		p.Release(m.ctx.Meter)
+	}
+	clear(ptrs)
+	m.ctx.ptrScratch = ptrs[:0]
 	for i := range m.vals {
 		m.vals[i].clear()
 	}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand/v2"
 	"testing"
-
-	"cornflakes/internal/mem"
 )
 
 // buildRandomTree builds a random message over a nested schema, returning
@@ -64,8 +62,8 @@ func TestObjectLenEqualsMarshalLen(t *testing.T) {
 	}
 }
 
-// Property: the layout's copy/ZC entry counts match what the iterators
-// actually yield, in every threshold configuration.
+// Property: the layout's copy/ZC entry counts match what the pointer walk
+// (AppendPtrs) actually yields, in every threshold configuration.
 func TestLayoutCountsMatchIterators(t *testing.T) {
 	inner, outer := nestedTestSchemas()
 	r := rand.New(rand.NewPCG(13, 14))
@@ -76,8 +74,15 @@ func TestLayoutCountsMatchIterators(t *testing.T) {
 			m := buildRandomTree(c, inner, outer, r, 1)
 			l := m.Layout()
 			nCopy, nZC, copyBytes, zcBytes := 0, 0, 0, 0
-			m.IterateCopyEntries(func(data []byte, _ uint64) { nCopy++; copyBytes += len(data) })
-			m.IterateZCEntries(func(b *mem.Buf) { nZC++; zcBytes += b.Len() })
+			for _, p := range m.AppendPtrs(nil) {
+				if p.IsZeroCopy() {
+					nZC++
+					zcBytes += p.ZCBuf().Len()
+				} else {
+					nCopy++
+					copyBytes += p.Len()
+				}
+			}
 			if nCopy != l.NumCopy || nZC != l.NumZC {
 				t.Fatalf("th=%d: counts (%d,%d) vs layout (%d,%d)", th, nCopy, nZC, l.NumCopy, l.NumZC)
 			}
@@ -198,6 +203,43 @@ func TestMarshalHugeObject(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		if got.GetBytesElem(2, i)[0] != byte(i) {
 			t.Fatalf("element %d corrupted", i)
+		}
+	}
+}
+
+// Property: MarshalInto over a reused, 0xAA-filled, over-long dst writes
+// exactly Marshal's bytes after the prefix and leaves the prefix alone —
+// stale bytes from an earlier frame must never leak into a rebuilt one
+// (receivers, and the simulated addresses hashed from frame contents,
+// would see them).
+func TestMarshalIntoReusedBufferMatchesMarshal(t *testing.T) {
+	inner, outer := nestedTestSchemas()
+	r := rand.New(rand.NewPCG(15, 16))
+	for _, th := range []int{ThresholdAllZeroCopy, DefaultThreshold, ThresholdAllCopy} {
+		for i := 0; i < 30; i++ {
+			c := newTestCtx()
+			c.Threshold = th
+			m := buildRandomTree(c, inner, outer, r, 1)
+			want := Marshal(m)
+			for _, off := range []int{0, 1, 19} {
+				dst := bytes.Repeat([]byte{0xAA}, off+len(want)+64)
+				got := MarshalInto(dst, m, off)
+				if len(got) != off+len(want) {
+					t.Fatalf("th=%d off=%d: len %d, want %d", th, off, len(got), off+len(want))
+				}
+				if !bytes.Equal(got[off:], want) {
+					t.Fatalf("th=%d off=%d: reused buffer differs from Marshal", th, off)
+				}
+				if !bytes.Equal(got[:off], dst[:off]) || &got[0] != &dst[0] {
+					t.Fatalf("th=%d off=%d: prefix clobbered or buffer not reused", th, off)
+				}
+				// A short dst grows, keeping the prefix.
+				short := bytes.Repeat([]byte{0xAA}, off)
+				grown := MarshalInto(short, m, off)
+				if !bytes.Equal(grown[:off], short) || !bytes.Equal(grown[off:], want) {
+					t.Fatalf("th=%d off=%d: grown buffer wrong", th, off)
+				}
+			}
 		}
 	}
 }

@@ -91,7 +91,14 @@ func (c *KVClient) BuildStep(id uint64, req workloads.Request, step int) []byte 
 	case OpBytePut:
 		m.SetBytes(2, ctx.NewCFPtr(req.Vals[0]))
 	}
-	return append([]byte{ob}, core.Marshal(m)...)
+	return opFrame(ob, m)
+}
+
+// opFrame serializes obj behind a one-byte opcode in a single allocation.
+func opFrame(op byte, obj core.Obj) []byte {
+	out := core.MarshalInto(nil, obj, 1)
+	out[0] = op
+	return out
 }
 
 // ResponseID implements loadgen.Client.

@@ -199,9 +199,8 @@ func (s *KVServer) serve(r Req) {
 	}
 	op := p.Bytes()[0]
 	if s.Sys == SysCornflakes {
-		body := p.SubView(1, p.Len()-1)
-		p.DecRef()
-		s.handleCF(op, body, r.Src)
+		p.TrimFront(1) // the frame is this request's alone
+		s.handleCF(op, p, r.Src)
 		return
 	}
 	s.handleDoc(op, p, r.Src)

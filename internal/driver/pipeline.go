@@ -100,6 +100,14 @@ type Pipeline struct {
 	// offload core (OffloadStage); serveOne submits it at the job's
 	// completion.
 	stage offStage
+
+	// jobq[jobh:] holds the requests Submit queued as host-core jobs, in
+	// submission order. The core is FIFO, so every one of those jobs — the
+	// same job, job, bound once in Init — serves the queue head: the
+	// pipeline keeps the request, and submitting it costs no closure.
+	jobq []Req
+	jobh int
+	job  sim.Job
 }
 
 // offStage is one handler's deferred serialize+tx stage: run sends the
@@ -134,6 +142,7 @@ func (pl *Pipeline) Init(n *Node, handleLabel string, serve func(r Req)) {
 	pl.N = n
 	pl.handleLabel = handleLabel
 	pl.serve = serve
+	pl.job = sim.Job{Run: pl.serveQueued}
 }
 
 // AttachOffload gives the server a NIC-side serialization engine with an
@@ -237,16 +246,38 @@ func (pl *Pipeline) Accept(r Req) bool {
 
 // Submit queues r as one host-core job; RX ring overflow drops it.
 func (pl *Pipeline) Submit(r Req) {
-	j := sim.Job{Run: func() sim.Time { return pl.serveOne(r, 0) }}
+	if pl.jobh > 0 && len(pl.jobq) == cap(pl.jobq) {
+		// Full backing array with served slots in front: slide the live
+		// requests down rather than grow.
+		n := copy(pl.jobq, pl.jobq[pl.jobh:])
+		clear(pl.jobq[n:])
+		pl.jobq, pl.jobh = pl.jobq[:n], 0
+	}
+	pl.jobq = append(pl.jobq, r)
+	j := pl.job
 	if r.Traced {
 		j.Start = func(sim.Time) { pl.Trace.Mark(r.ID, pl.N.Eng.Now(), pl.handleLabel) }
 	}
 	if !pl.N.Core.Submit(j) {
+		// Refused at once: r is still the tail.
+		pl.jobq[len(pl.jobq)-1] = Req{}
+		pl.jobq = pl.jobq[:len(pl.jobq)-1]
 		if r.Traced {
 			pl.Trace.Note(r.ID, "request dropped: rx ring overflow")
 		}
 		r.P.DecRef()
 	}
+}
+
+// serveQueued is the Run of every Submit job: it serves the queue head.
+func (pl *Pipeline) serveQueued() sim.Time {
+	r := pl.jobq[pl.jobh]
+	pl.jobq[pl.jobh] = Req{}
+	pl.jobh++
+	if pl.jobh == len(pl.jobq) {
+		pl.jobq, pl.jobh = pl.jobq[:0], 0
+	}
+	return pl.serveOne(r, 0)
 }
 
 // serveOne runs the handler on one request at its dispatch instant and

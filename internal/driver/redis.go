@@ -78,8 +78,7 @@ func (s *RedisServer) handleCF(p *mem.Buf) {
 		return
 	}
 	op := p.Bytes()[0]
-	body := p.SubView(1, p.Len()-1)
-	p.DecRef()
+	p.TrimFront(1) // the frame is this request's alone
 
 	m.SetCategory(costmodel.CatDeserialize)
 	var schema *core.Schema
@@ -92,13 +91,13 @@ func (s *RedisServer) handleCF(p *mem.Buf) {
 		schema = msgs.PutReqSchema
 	default:
 		s.Errors++
-		body.DecRef()
+		p.DecRef()
 		return
 	}
-	msg, err := ctx.Deserialize(schema, body)
+	msg, err := ctx.Deserialize(schema, p)
 	if err != nil {
 		s.Errors++
-		body.DecRef()
+		p.DecRef()
 		return
 	}
 	defer msg.Release()
@@ -185,25 +184,25 @@ func (c *RedisClient) BuildStep(id uint64, req workloads.Request, _ int) []byte 
 		msg := msgs.NewGetReq(ctx)
 		msg.SetId(id)
 		msg.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return append([]byte{redis.CmdGet}, core.Marshal(msg.Obj())...)
+		return opFrame(redis.CmdGet, msg.Obj())
 	case workloads.OpGetM:
 		msg := msgs.NewGetM(ctx)
 		msg.SetId(id)
 		for _, k := range req.Keys {
 			msg.AppendKeys(ctx.NewCFPtr(k))
 		}
-		return append([]byte{redis.CmdMGet}, core.Marshal(msg.Obj())...)
+		return opFrame(redis.CmdMGet, msg.Obj())
 	case workloads.OpGetList:
 		msg := msgs.NewGetReq(ctx)
 		msg.SetId(id)
 		msg.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return append([]byte{redis.CmdLRange}, core.Marshal(msg.Obj())...)
+		return opFrame(redis.CmdLRange, msg.Obj())
 	default:
 		msg := msgs.NewPutReq(ctx)
 		msg.SetId(id)
 		msg.SetKey(ctx.NewCFPtr(req.Keys[0]))
 		msg.SetVal(ctx.NewCFPtr(req.Vals[0]))
-		return append([]byte{redis.CmdSet}, core.Marshal(msg.Obj())...)
+		return opFrame(redis.CmdSet, msg.Obj())
 	}
 }
 

@@ -103,13 +103,13 @@ type Allocator struct {
 	// ErrNoMem at the bound instead of growing a new slab. Zero means
 	// unbounded (the pre-overload-hardening behaviour).
 	capSlots int64
-	// bufFree recycles Buf view structs: a view whose final reference is
-	// dropped (refcount reaches zero) parks here and the next
-	// TryAlloc/RecoverPtr/SubView reuses it instead of allocating. Views
-	// whose DecRef was not the last reference are NOT recycled — another
-	// holder may still alias the struct. The allocator is single-goroutine
-	// by contract, so a plain slice suffices. Parked views have slab nil,
-	// so a (contract-violating) use after the final DecRef fails fast.
+	// bufFree recycles Buf view structs: an allocation's own view parks
+	// here when the slot's final reference is dropped, a derived view
+	// (RecoverPtr, SubView) when its own holders are gone (see Buf), and
+	// the next TryAlloc/RecoverPtr/SubView reuses it instead of
+	// allocating. The allocator is single-goroutine by contract, so a
+	// plain slice suffices. Parked views have slab nil, so a
+	// (contract-violating) use after the last DecRef fails fast.
 	bufFree []*Buf
 }
 
@@ -147,7 +147,6 @@ func UnpinnedSimAddr(p []byte) uint64 {
 	}
 	return SimUnpinnedBase + (h & 0xFF_FFFF_FFFF) // fold into a 1 TiB window
 }
-
 
 // NewAllocator returns an empty pinned allocator.
 func NewAllocator() *Allocator {
@@ -251,20 +250,21 @@ func (a *Allocator) TryAlloc(size int) (*Buf, error) {
 	if a.stats.SlotsInUse > a.stats.PeakSlotsInUse {
 		a.stats.PeakSlotsInUse = a.stats.SlotsInUse
 	}
-	return a.getBuf(s, slot, int(slot)*s.slotSize, size), nil
+	return a.getBuf(s, slot, int(slot)*s.slotSize, size, 0), nil
 }
 
 // getBuf takes a Buf view struct off the free list (or allocates one) and
-// points it at the given slot view.
-func (a *Allocator) getBuf(s *slab, slot int32, off, n int) *Buf {
+// points it at the given slot view; holds is 0 for an allocation's own
+// view and 1 for a derived one.
+func (a *Allocator) getBuf(s *slab, slot int32, off, n int, holds int32) *Buf {
 	if k := len(a.bufFree); k > 0 {
 		b := a.bufFree[k-1]
 		a.bufFree[k-1] = nil
 		a.bufFree = a.bufFree[:k-1]
-		b.slab, b.slot, b.off, b.n = s, slot, off, n
+		b.slab, b.slot, b.off, b.n, b.holds = s, slot, off, n, holds
 		return b
 	}
-	return &Buf{slab: s, slot: slot, off: off, n: n}
+	return &Buf{slab: s, slot: slot, off: off, n: n, holds: holds}
 }
 
 func (a *Allocator) newSlab(sc *sizeClass) *slab {
@@ -356,7 +356,7 @@ func (a *Allocator) RecoverPtr(p []byte) (*Buf, bool) {
 	}
 	s.refcnts[slot]++
 	a.stats.RecoverHits++
-	return a.getBuf(s, slot, off, len(p)), true
+	return a.getBuf(s, slot, off, len(p), 1), true
 }
 
 // IsPinned reports whether p lies entirely within one live pinned
@@ -412,11 +412,25 @@ func (a *Allocator) SlabCounts() map[int]int {
 // RcBuf {data_pointer, offset, len, refcnt}. Multiple Bufs may view the
 // same allocation; the slot returns to the free list when the shared
 // refcount reaches zero.
+//
+// The view TryAlloc returns names the allocation: its owner may still
+// read it (Refcount, Bytes) after its own DecRef while other views keep
+// the slot alive, so the struct recycles only with the slot. A derived
+// view — from RecoverPtr or SubView — exists for one holder chain:
+// holds counts the references taken through it (its creation plus each
+// IncRef on it), and the struct recycles as soon as they are all dropped,
+// even though the allocation lives on. The slot refcount alone cannot
+// tell when that is: the networking stack shares one view between the
+// application and the NIC with IncRef, so the application's DecRef is
+// not the view's last.
 type Buf struct {
 	slab *slab
 	slot int32
-	off  int // byte offset of the view within the slab
-	n    int
+	// holds is the derived view's reference count; zero for an
+	// allocation's own view.
+	holds int32
+	off   int // byte offset of the view within the slab
+	n     int
 }
 
 // Bytes returns the view's backing bytes. The slice remains valid while the
@@ -449,18 +463,21 @@ func (b *Buf) IncRef() {
 		panic("mem: IncRef on freed buffer")
 	}
 	b.slab.refcnts[b.slot]++
+	if b.holds > 0 {
+		b.holds++
+	}
 }
 
 // DecRef drops a reference, returning the slot to the allocator free list
 // when the count reaches zero. Panics on double free.
 func (b *Buf) DecRef() {
-	rc := b.slab.refcnts[b.slot]
+	s := b.slab
+	rc := s.refcnts[b.slot]
 	if rc <= 0 {
 		panic("mem: DecRef on freed buffer (double free)")
 	}
-	b.slab.refcnts[b.slot] = rc - 1
-	if rc-1 == 0 {
-		s := b.slab
+	s.refcnts[b.slot] = rc - 1
+	if rc == 1 {
 		s.free = append(s.free, b.slot)
 		if len(s.free) == 1 {
 			s.class.partial = append(s.class.partial, s)
@@ -468,23 +485,48 @@ func (b *Buf) DecRef() {
 		st := statsOwner(s)
 		st.Frees++
 		st.SlotsInUse--
-		// The final reference is gone: no live holder may touch this view
-		// again, so the struct itself recycles through the allocator's Buf
-		// free list. slab nil-s out so a stale use panics instead of
-		// silently reading whatever allocation reuses the struct.
+	}
+	last := rc == 1
+	if b.holds > 0 {
+		b.holds--
+		last = b.holds == 0
+	}
+	if last {
+		// No live holder may touch this view again, so the struct itself
+		// recycles through the allocator's Buf free list. slab nil-s out
+		// so a stale use panics instead of silently reading whatever
+		// allocation reuses the struct.
 		b.slab = nil
 		s.alloc.bufFree = append(s.alloc.bufFree, b)
 	}
 }
 
-// SubView returns a new view of n bytes starting off bytes into b, sharing
-// (and incrementing) the refcount.
+// SubView returns a new derived view of n bytes starting off bytes into b,
+// holding its own reference on the shared slot.
 func (b *Buf) SubView(off, n int) *Buf {
 	if off < 0 || n < 0 || off+n > b.n {
 		panic(fmt.Sprintf("mem: SubView(%d, %d) out of range of %d-byte view", off, n, b.n))
 	}
-	b.IncRef()
-	return b.slab.alloc.getBuf(b.slab, b.slot, b.off+off, n)
+	if b.slab.refcnts[b.slot] <= 0 {
+		panic("mem: SubView of freed buffer")
+	}
+	b.slab.refcnts[b.slot]++
+	return b.slab.alloc.getBuf(b.slab, b.slot, b.off+off, n, 1)
+}
+
+// TrimFront drops the view's first k bytes in place: the single-owner
+// counterpart of SubView(k, Len()-k) followed by DecRef on b. The
+// SubView-then-DecRef idiom leaves the old view struct to the garbage
+// collector whenever its DecRef is not the slot's last (the new view
+// still holds the slot), while TrimFront keeps one struct and one
+// reference. Only a caller that holds the view's sole reference may use
+// it: any other holder of the same struct would see its view move.
+func (b *Buf) TrimFront(k int) {
+	if k < 0 || k > b.n {
+		panic(fmt.Sprintf("mem: TrimFront(%d) out of range of %d-byte view", k, b.n))
+	}
+	b.off += k
+	b.n -= k
 }
 
 // Resize shrinks or grows the view in place within the slot's capacity.

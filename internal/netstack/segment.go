@@ -100,18 +100,27 @@ func (s *Segmenter) SendObjectSegmented(obj core.Obj) error {
 	obj.WriteHeader(front.Bytes())
 	m.Charge(float64(l.Fields)*m.CPU.PerFieldCy + float64(l.Elems)*2)
 	m.Access(front.SimAddr(), l.HeaderLen)
+	ptrs := obj.AppendPtrs(s.U.ptrs[:0])
 	cur := l.HeaderLen
-	obj.IterateCopyEntries(func(data []byte, sim uint64) {
-		m.Copy(sim, front.SimAddr()+uint64(cur), len(data))
-		copy(front.Bytes()[cur:], data)
-		cur += len(data)
-	})
+	for _, p := range ptrs {
+		if !p.IsZeroCopy() {
+			m.Copy(p.Sim(), front.SimAddr()+uint64(cur), p.Len())
+			copy(front.Bytes()[cur:], p.Bytes())
+			cur += p.Len()
+		}
+	}
 
 	// The object is the concatenation of `front` and the zero-copy
 	// buffers; walk it emitting fragments.
 	type piece struct{ buf *mem.Buf }
 	pieces := []piece{{front}}
-	obj.IterateZCEntries(func(b *mem.Buf) { pieces = append(pieces, piece{b}) })
+	for _, p := range ptrs {
+		if p.IsZeroCopy() {
+			pieces = append(pieces, piece{p.ZCBuf()})
+		}
+	}
+	clear(ptrs)
+	s.U.ptrs = ptrs[:0]
 
 	pieceIdx, pieceOff := 0, 0
 	var firstErr error

@@ -89,6 +89,7 @@ type TCPConn struct {
 	sendUna  uint32
 	recvSeq  uint32
 	unacked  []*segment
+	ptrs     []core.CFPtr // SendObject's reused AppendPtrs scratch
 	rto      sim.Time
 	rtoTimer sim.Timer
 
@@ -168,20 +169,28 @@ func (c *TCPConn) SendObject(obj core.Obj) error {
 	obj.WriteHeader(dst)
 	m.Charge(float64(l.Fields)*m.CPU.PerFieldCy + float64(l.Elems)*2)
 	m.Access(first.SimAddr()+TCPHeaderLen, l.HeaderLen)
+	ptrs := obj.AppendPtrs(c.ptrs[:0])
 	cur := l.HeaderLen
-	obj.IterateCopyEntries(func(data []byte, sim uint64) {
-		m.Copy(sim, first.SimAddr()+uint64(TCPHeaderLen+cur), len(data))
-		copy(dst[cur:], data)
-		cur += len(data)
-	})
+	for _, p := range ptrs {
+		if !p.IsZeroCopy() {
+			m.Copy(p.Sim(), first.SimAddr()+uint64(TCPHeaderLen+cur), p.Len())
+			copy(dst[cur:], p.Bytes())
+			cur += p.Len()
+		}
+	}
 
 	seg := &segment{seq: c.sendSeq, length: l.ObjectLen(), first: first}
-	obj.IterateZCEntries(func(buf *mem.Buf) {
-		// One reference for retransmission retention...
-		m.MetadataAccess(buf.RefcountSimAddr())
-		buf.IncRef()
-		seg.zc = append(seg.zc, buf)
-	})
+	for _, p := range ptrs {
+		if p.IsZeroCopy() {
+			// One reference for retransmission retention...
+			buf := p.ZCBuf()
+			m.MetadataAccess(buf.RefcountSimAddr())
+			buf.IncRef()
+			seg.zc = append(seg.zc, buf)
+		}
+	}
+	clear(ptrs)
+	c.ptrs = ptrs[:0]
 	c.sendSeq += uint32(seg.length)
 	c.unacked = append(c.unacked, seg)
 	c.TxSegments++

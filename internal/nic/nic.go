@@ -156,9 +156,10 @@ type Frame struct {
 	SentAt sim.Time
 }
 
-// Handler consumes received frames. The *Frame is only valid for the
-// duration of the call (it may be pooled); handlers keep Data — which
-// remains theirs — not the Frame itself.
+// Handler consumes received frames. The *Frame and its Data are only valid
+// for the duration of the call: both may be pooled, and the sender recycles
+// the frame buffer once the handler returns. A handler that keeps the
+// bytes (a store-and-forward switch) copies them.
 type Handler func(*Frame)
 
 // Delivery describes one copy of an intercepted frame to put on the wire.
@@ -295,12 +296,6 @@ type Port struct {
 	// Deliveries that pass through an interceptor are never recycled —
 	// the interceptor may hand back copies or the original buffer.
 	dataPool [][]byte
-
-	// RetainsRx marks that this port's handler legitimately keeps
-	// Frame.Data beyond the handler call — a store-and-forward switch
-	// queuing the frame for egress. Senders then leave delivered buffers
-	// to the garbage collector instead of recycling them.
-	RetainsRx bool
 }
 
 // getData returns a zero-length frame buffer with at least total capacity,
@@ -628,9 +623,7 @@ func (op *rxOp) deliver() {
 	if peer.handler != nil {
 		peer.handler(&op.frame)
 	}
-	if !peer.RetainsRx {
-		p.putData(data)
-	}
+	p.putData(data)
 	op.frame = Frame{}
 	p.rxPool = append(p.rxPool, op)
 }

@@ -43,7 +43,8 @@ func (c *Client) Steps(workloads.Request) int { return 1 }
 
 // BuildStep implements loadgen.Client: marshal one call frame aimed at the
 // frontend. Like ClusterKVClient, addressing is a build-time side effect on
-// the node's UDP stack.
+// the node's UDP stack. The frame lives in the codec's reused buffer until
+// the next BuildStep; loadgen sends it at once.
 func (c *Client) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	if c.valBuf == nil {
 		c.valBuf = make([]byte, c.ReqBytes)

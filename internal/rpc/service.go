@@ -76,6 +76,9 @@ type Service struct {
 	respBuf []byte
 	noteBuf []byte
 	keyBuf  []byte
+
+	// freeInf recycles fan-in states once their call tree is settled.
+	freeInf []*inflight
 }
 
 // inflight is the fan-in state for one upstream call awaiting backends.
@@ -86,6 +89,33 @@ type inflight struct {
 	failed   bool
 	timer    sim.Timer
 	children []uint64
+	// timeout is the fan-in deadline callback, bound once per struct.
+	timeout func()
+}
+
+// newInflight takes a fan-in state off the free list (or allocates one).
+func (s *Service) newInflight(h Header, src byte) *inflight {
+	var inf *inflight
+	if n := len(s.freeInf); n > 0 {
+		inf = s.freeInf[n-1]
+		s.freeInf[n-1] = nil
+		s.freeInf = s.freeInf[:n-1]
+	} else {
+		inf = &inflight{}
+		inf.timeout = func() { s.onFanInTimeout(inf) }
+	}
+	inf.h, inf.src, inf.await = h, src, len(s.Backends)
+	return inf
+}
+
+// recycle parks a settled fan-in state: its answer or failure has gone
+// upstream, no pending-table entry points at it any more, and its timer
+// has fired or been cancelled.
+func (s *Service) recycle(inf *inflight) {
+	inf.failed = false
+	inf.timer = sim.Timer{}
+	inf.children = inf.children[:0]
+	s.freeInf = append(s.freeInf, inf)
 }
 
 // NewService wires a Service onto a node's UDP stack. The node must come
@@ -178,6 +208,7 @@ func (s *Service) serve(r driver.Req) {
 		}
 		if inf, done := r.Arg.(*inflight); done {
 			s.finishCall(inf.h, inf.src)
+			s.recycle(inf)
 		}
 	default:
 		if err := s.codec.decodeBody(r.P, false); err != nil {
@@ -253,7 +284,7 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 	if s.fwdBuf == nil {
 		s.fwdBuf = make([]byte, s.FwdBytes)
 	}
-	inf := &inflight{h: h, src: src, await: len(s.Backends)}
+	inf := s.newInflight(h, src)
 	for _, addr := range s.Backends {
 		cid := s.newCallID()
 		inf.children = append(inf.children, cid)
@@ -269,7 +300,7 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 		}
 	}
 	if s.CallTimeout > 0 {
-		inf.timer = s.N.Eng.After(s.CallTimeout, func() { s.onFanInTimeout(inf) })
+		inf.timer = s.N.Eng.After(s.CallTimeout, inf.timeout)
 	}
 }
 
@@ -332,6 +363,7 @@ func (s *Service) onChildFailure(id uint64) {
 	inf.timer.Cancel()
 	s.abandonSiblings(inf)
 	s.failTo(inf.h.CallID, inf.h.RootID, inf.src, "fail")
+	s.recycle(inf)
 }
 
 // onFanInTimeout fires when backends are too slow: every still-pending
@@ -345,6 +377,7 @@ func (s *Service) onFanInTimeout(inf *inflight) {
 	s.ChildTimeouts++
 	s.abandonSiblings(inf)
 	s.failTo(inf.h.CallID, inf.h.RootID, inf.src, "timeout")
+	s.recycle(inf)
 }
 
 func (s *Service) abandonSiblings(inf *inflight) {
