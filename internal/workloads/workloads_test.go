@@ -154,6 +154,19 @@ func TestYCSB(t *testing.T) {
 	if y.Name() != "ycsb-512x4" {
 		t.Errorf("name = %q", y.Name())
 	}
+	// Value bytes are byte(record + segment + offset), whatever the
+	// segment size.
+	for _, size := range []int{512, 700, 2048} {
+		for i, rec := range NewYCSB(300, size, 3).Records() {
+			for j, v := range rec.Vals {
+				for b, got := range v {
+					if want := byte(i + j + b); got != want {
+						t.Fatalf("size %d: record %d segment %d byte %d = %d, want %d", size, i, j, b, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestGoogleWorkload(t *testing.T) {
