@@ -1,7 +1,7 @@
 // Benchmark harness: one testing.B benchmark per table and figure in the
 // paper's evaluation (each regenerates the result at Quick scale and fails
 // if a shape check breaks), plus micro-benchmarks of the serialization
-// library itself.
+// library and the cache model themselves.
 //
 // Run everything with:
 //
@@ -13,6 +13,7 @@
 package cornflakes_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"cornflakes/internal/baselines"
@@ -208,5 +209,44 @@ func BenchmarkRecoverPtr(b *testing.B) {
 			b.Fatal("recover failed")
 		}
 		r.DecRef()
+	}
+}
+
+// --- Cache-model micro-benchmarks: host cost of one simulated access,
+// on the two paths every metered byte takes. ---
+
+var cacheSink float64
+
+// BenchmarkCacheAccessRangeL1Resident walks a 4 KiB range (64 lines)
+// already resident in L1: the batched walk's fast path.
+func BenchmarkCacheAccessRangeL1Resident(b *testing.B) {
+	h := cachesim.New(cachesim.DefaultConfig())
+	const base = mem.SimDataBase
+	h.AccessRange(base, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cy, _ := h.AccessRange(base, 4096)
+		cacheSink += cy
+	}
+}
+
+// BenchmarkCacheAccessDRAMMiss touches random lines of a 64 MiB region
+// (4x the default L3) through DefaultConfig, so most accesses miss every
+// level and fill all three.
+func BenchmarkCacheAccessDRAMMiss(b *testing.B) {
+	h := cachesim.New(cachesim.DefaultConfig())
+	const base, span = mem.SimDataBase, 64 << 20
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 1<<16)
+	for i := range addrs {
+		addrs[i] = base + uint64(rng.Intn(span/cachesim.LineSize))*cachesim.LineSize
+	}
+	h.AccessRange(base, span) // fill every level so fills evict
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, cy := h.Access(addrs[i&(len(addrs)-1)])
+		cacheSink += cy
 	}
 }

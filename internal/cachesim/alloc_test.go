@@ -3,8 +3,9 @@ package cachesim
 import "testing"
 
 // TestAccessRangeAllocFree pins 0 allocs on the batched range walk, hit and
-// miss alike: the stamp-LRU levels are flat arrays sized at construction,
-// so steady-state lookups, fills, and evictions must never touch the heap.
+// miss alike: each level's tag array and fill counts are sized at
+// construction, so steady-state lookups, fills, and evictions must never
+// touch the heap.
 func TestAccessRangeAllocFree(t *testing.T) {
 	h := New(DefaultConfig())
 	const base = uint64(1) << 40

@@ -8,21 +8,25 @@
 // Reproducing that mechanism requires an explicit cache model over the
 // simulated address space, not just fixed per-operation constants.
 //
-// Replacement state is stamp-based LRU: each level keeps flat tags[] and
-// stamps[] arrays indexed by set×way and a per-level monotone clock. A hit
-// is one stamp store; a fill scans the set for the minimum stamp. Because
-// every touch assigns a fresh, unique, monotonically increasing stamp, the
-// minimum-stamp way is exactly the least-recently-used way, so eviction
-// order is identical to a positional (MRU-ordered list) LRU — see
-// lru_equivalence_test.go, which differences this implementation against
-// the retained positional reference model.
+// Replacement state is positional LRU over one flat, set-major tag array:
+// set s owns tags[s*ways : s*ways+n[s]], most recently used first. A hit
+// moves its tag to the front with one overlapping copy inside the set, a
+// fill shifts the set down by one and drops the tail once the set is full,
+// and a flush zeroes the per-set fill counts. Each set is one contiguous
+// block of at most ways×8 bytes, so a probe touches one block of host
+// memory (stamp_differential_test.go differences this layout against the
+// retired tags[]+stamps[] model; lru_equivalence_test.go against the
+// per-set-slice model before it).
 //
 // Addresses are simulated "physical" addresses handed out by internal/mem.
 // Costs are returned in CPU cycles (float64) and converted to virtual time
 // by internal/costmodel.
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LineSize is the cache line size in bytes. All x86 server parts the paper
 // evaluates use 64-byte lines.
@@ -53,8 +57,8 @@ func (h HitLevel) String() string {
 
 // LevelConfig describes one cache level.
 type LevelConfig struct {
-	Size      int     // total bytes; must be a multiple of Ways*LineSize
-	Ways      int     // associativity
+	Size      int     // total bytes; must be a positive multiple of Ways*LineSize
+	Ways      int     // associativity, 1..255
 	LatencyCy float64 // access latency in cycles when the access hits here
 }
 
@@ -85,40 +89,36 @@ func DefaultConfig() Config {
 	}
 }
 
-// level is one set-associative cache level. tags and stamps are flat
-// set-major arrays (way w of set s lives at s*ways+w). A stamp of zero
-// marks an empty way: the clock starts at zero and is pre-incremented
-// before every store, so live stamps are always ≥ 1. Empty ways are filled
-// front-to-back before any eviction, matching the reference model's
-// grow-until-full behavior, and never reappear except via flushAll.
+// maxWays is the largest associativity the per-set fill count holds.
+const maxWays = 255
+
+// level is one set-associative cache level. Set s holds its n[s] resident
+// lines at tags[s*ways : s*ways+n[s]], most recently used first; the ways
+// past n[s] are empty. A set fills front-to-back before any eviction and
+// empties only on flushAll.
 type level struct {
 	cfg     LevelConfig
 	numSets int
 	ways    int
 	pow2    bool // set index via mask instead of modulo
 	tags    []uint64
-	stamps  []uint64
-	clock   uint64
+	n       []uint8
 	// stats
 	hits, misses uint64
 }
 
 func newLevel(cfg LevelConfig) *level {
-	if cfg.Ways <= 0 || cfg.Size <= 0 {
-		panic(fmt.Sprintf("cachesim: invalid level config %+v", cfg))
+	if cfg.Ways <= 0 || cfg.Ways > maxWays || cfg.Size <= 0 || cfg.Size%(cfg.Ways*LineSize) != 0 {
+		panic(fmt.Sprintf("cachesim: invalid level config %+v: need 1..%d ways and a size that is a positive multiple of ways×%d", cfg, maxWays, LineSize))
 	}
 	numSets := cfg.Size / (cfg.Ways * LineSize)
-	if numSets <= 0 {
-		numSets = 1
-	}
-	n := numSets * cfg.Ways
 	return &level{
 		cfg:     cfg,
 		numSets: numSets,
 		ways:    cfg.Ways,
 		pow2:    numSets&(numSets-1) == 0,
-		tags:    make([]uint64, n),
-		stamps:  make([]uint64, n),
+		tags:    make([]uint64, numSets*cfg.Ways),
+		n:       make([]uint8, numSets),
 	}
 }
 
@@ -129,67 +129,62 @@ func (l *level) setIndex(line uint64) int {
 	return int((line / LineSize) % uint64(l.numSets))
 }
 
-// lookup probes for line addr (already line-aligned). On hit it restamps
-// the way — an O(1) LRU update — and returns true. On miss it returns
-// false without filling.
-func (l *level) lookup(line uint64) bool {
-	base := l.setIndex(line) * l.ways
-	tags := l.tags[base : base+l.ways]
-	stamps := l.stamps[base : base+l.ways : base+l.ways]
-	for i, tag := range tags {
-		if tag == line && stamps[i] != 0 {
-			l.clock++
-			stamps[i] = l.clock
-			l.hits++
+// set returns the resident lines of set s, most recently used first.
+func (l *level) set(s int) []uint64 {
+	base := s * l.ways
+	return l.tags[base : base+int(l.n[s])]
+}
+
+// touch moves line to the front of set s and reports whether it was there.
+func (l *level) touch(s int, line uint64) bool {
+	set := l.set(s)
+	for i, tag := range set {
+		if tag == line {
+			if i > 0 { // an MRU hit would pay a zero-length memmove call
+				copy(set[1:i+1], set[:i])
+				set[0] = line
+			}
 			return true
 		}
+	}
+	return false
+}
+
+// lookup probes for line addr (already line-aligned). On hit it moves the
+// line to the front of its set and returns true. On miss it returns false
+// without filling.
+func (l *level) lookup(line uint64) bool {
+	if l.touch(l.setIndex(line), line) {
+		l.hits++
+		return true
 	}
 	l.misses++
 	return false
 }
 
-// fill inserts line, evicting the minimum-stamp (LRU) way if the set is
-// full. Returns the evicted line and true if an eviction happened. The
-// caller guarantees line is not already present (fill only runs after a
-// missed lookup at this level).
-func (l *level) fill(line uint64) (uint64, bool) {
-	base := l.setIndex(line) * l.ways
-	stamps := l.stamps[base : base+l.ways : base+l.ways]
-	min := 0
-	for i, s := range stamps {
-		if s == 0 {
-			l.clock++
-			l.tags[base+i] = line
-			stamps[i] = l.clock
-			return 0, false
-		}
-		if s < stamps[min] {
-			min = i
-		}
+// fill inserts line at the front of its set, evicting the tail (LRU) line
+// if the set is full. The caller guarantees line is not already present
+// (fill only runs after a missed lookup at this level).
+func (l *level) fill(line uint64) {
+	s := l.setIndex(line)
+	if int(l.n[s]) < l.ways {
+		l.n[s]++
 	}
-	victim := l.tags[base+min]
-	l.clock++
-	l.tags[base+min] = line
-	stamps[min] = l.clock
-	return victim, true
+	set := l.set(s)
+	copy(set[1:], set)
+	set[0] = line
 }
 
-// contains probes without touching stamps, stats, or the clock.
+// contains probes without reordering the set or touching stats.
 func (l *level) contains(line uint64) bool {
-	base := l.setIndex(line) * l.ways
-	for i, tag := range l.tags[base : base+l.ways] {
-		if tag == line && l.stamps[base+i] != 0 {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(l.set(l.setIndex(line)), line)
 }
 
-// flushAll drops every line (used by experiments to start cold) by zeroing
-// the stamps; tags and the clock are kept, so refills after a flush stay
-// allocation-free and later stamps remain globally unique.
+// flushAll drops every line (used by experiments to start cold) by
+// emptying every set; the tag array is kept, so refills stay
+// allocation-free.
 func (l *level) flushAll() {
-	clear(l.stamps)
+	clear(l.n)
 }
 
 // Stats for one level.
@@ -281,10 +276,10 @@ func (h *Hierarchy) missBelowL1(line uint64) (HitLevel, float64) {
 // cycle cost plus the number of lines that missed to DRAM.
 //
 // This is the batched fast path for the copy/scatter-gather loops that
-// dominate paper workloads: the L1 probe is inlined and the L1 set index
-// advances by increment-and-wrap (consecutive lines map to consecutive
-// sets), so a range already resident in L1 costs one restamp per line with
-// no division, no per-line call, and nothing touched below L1. Lines that
+// dominate paper workloads: the L1 set index advances by increment-and-wrap
+// (consecutive lines map to consecutive sets), so a range already resident
+// in L1 costs one probe of an L1 set per line with no division and nothing
+// touched below L1. Lines that
 // miss fall into the same missBelowL1 path Access uses, so costs, stats,
 // stream detection, and eviction order are exactly those of a per-line
 // Access loop (range_equivalence_test.go pins this).
@@ -298,19 +293,7 @@ func (h *Hierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLines i
 	idx := l1.setIndex(line)
 	l1Cy := h.cfg.L1.LatencyCy
 	for k := 0; k < nLines; k++ {
-		base := idx * l1.ways
-		tags := l1.tags[base : base+l1.ways]
-		stamps := l1.stamps[base : base+l1.ways : base+l1.ways]
-		hit := false
-		for i, tag := range tags {
-			if tag == line && stamps[i] != 0 {
-				l1.clock++
-				stamps[i] = l1.clock
-				hit = true
-				break
-			}
-		}
-		if hit {
+		if l1.touch(idx, line) {
 			l1.hits++
 			cycles += l1Cy
 		} else {
@@ -331,9 +314,9 @@ func (h *Hierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLines i
 }
 
 // Contains reports the highest (fastest) level currently holding addr, or
-// HitDRAM if no level holds it. It does not disturb stamps, stats, or
+// HitDRAM if no level holds it. It does not disturb recency order, stats, or
 // stream state, so interleaving probes with accesses leaves the eviction
-// sequence unchanged (contains_neutrality_test.go).
+// sequence unchanged (stream_contains_test.go).
 func (h *Hierarchy) Contains(addr uint64) HitLevel {
 	line := addr &^ uint64(LineSize-1)
 	switch {

@@ -216,6 +216,46 @@ func TestInvalidConfigPanics(t *testing.T) {
 	New(Config{L1: LevelConfig{Size: 1024, Ways: 0}})
 }
 
+// TestInvalidGeometryPanics pins that a level whose size is not a positive
+// multiple of Ways×LineSize, or whose associativity exceeds what the
+// per-set fill count holds, fails at construction instead of silently
+// becoming some other geometry.
+func TestInvalidGeometryPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lc   LevelConfig
+	}{
+		{"short of one set", LevelConfig{Size: 64, Ways: 2}},
+		{"not a set multiple", LevelConfig{Size: 3 * 64, Ways: 2}},
+		{"not line aligned", LevelConfig{Size: 1000, Ways: 1}},
+		{"negative size", LevelConfig{Size: -1024, Ways: 2}},
+		{"negative ways", LevelConfig{Size: 1024, Ways: -2}},
+		{"too many ways", LevelConfig{Size: 256 * 64, Ways: 256}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("level %+v did not panic", tc.lc)
+				}
+			}()
+			cfg := smallConfig()
+			cfg.L2 = tc.lc
+			New(cfg)
+		})
+	}
+	// The widest and narrowest legal levels still build.
+	cfg := smallConfig()
+	cfg.L2 = LevelConfig{Size: maxWays * LineSize, Ways: maxWays}
+	cfg.L3 = LevelConfig{Size: LineSize, Ways: 1}
+	h := New(cfg)
+	for a := uint64(0); a < 2*maxWays*LineSize; a += LineSize {
+		h.Access(a)
+	}
+	if got := h.Contains(0); got != HitDRAM {
+		t.Errorf("line 0 after %d-line sweep of a %d-way set: %v, want DRAM", 2*maxWays, maxWays, got)
+	}
+}
+
 // Property: an address accessed twice in a row always hits L1 the second
 // time, for any address.
 func TestImmediateReuseHitsL1(t *testing.T) {

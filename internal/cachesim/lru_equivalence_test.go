@@ -5,19 +5,18 @@ import (
 	"testing"
 )
 
-// This file retains the pre-stamp-LRU implementation — positional LRU with
-// per-set MRU-ordered tag slices, exactly as cache.go had it before the
-// flat tags[]/stamps[] rewrite — as a reference oracle. The property test
-// below drives both implementations with identical randomized access
-// streams and requires hit levels, costs, DRAM counts, per-level stats,
-// and final residency to match exactly.
+// This file retains the original positional LRU model — per-set
+// MRU-ordered tag slices, each with its own backing array — as a reference
+// oracle. It came before the stamp-LRU model (kept as the second oracle in
+// stamp_differential_test.go), which the flat positional model in cache.go
+// replaced. The property tests below drive cache.go and this reference with
+// identical randomized access streams and require hit levels, costs, DRAM
+// counts, per-level stats, and final residency to match exactly.
 //
-// Why equivalence holds: every hit and every fill in the stamp model
-// assigns a fresh stamp from a per-level monotone counter, so stamps
-// totally order the ways of a set by last touch; the minimum-stamp way is
-// therefore the same way a positional LRU keeps at its list tail. Empty
-// ways (stamp 0, counter starts above 0) are consumed before any eviction,
-// matching the reference model's grow-until-full inserts.
+// Why equivalence holds: cache.go keeps the same MRU-first order per set,
+// only laid out inside one flat array with a per-set fill count instead of
+// a slice per set; empty ways are consumed before any eviction, matching
+// the reference model's grow-until-full inserts.
 
 type refLevel struct {
 	cfg          LevelConfig

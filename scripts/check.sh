@@ -33,6 +33,9 @@ go test -short ./internal/driver -run 'TestKVOffloadMovesSerializationOffHost|Te
 echo "== parallel-harness fingerprint gate (serial == parallel across every experiment, rpc included)"
 go test ./internal/experiments -run 'TestSerialParallelFingerprints|TestFingerprintSensitivity'
 
+echo "== cache-model equivalence gate (flat positional LRU == per-set-slice and stamp-LRU oracles; range walk == per-line loop; Contains neutral)"
+go test ./internal/cachesim -run 'Equivalence|Differential|Contains'
+
 echo "== perfbench module (vet, build, BENCHMARK.json in step with the reported metrics)"
 # perfbench/ is its own Go module, so ./... above never reaches it; an API
 # change that breaks the benchmark would otherwise pass. Same module env as
