@@ -104,7 +104,7 @@ func newRefShared(cfg Config, base *refHierarchy) *refHierarchy {
 }
 
 func (h *refHierarchy) Access(addr uint64) (HitLevel, float64) {
-	line := addr &^ uint64(LineSize - 1)
+	line := addr &^ uint64(LineSize-1)
 	if h.l1.lookup(line) {
 		return HitL1, h.cfg.L1.LatencyCy
 	}
@@ -133,8 +133,8 @@ func (h *refHierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLine
 	if n <= 0 {
 		return 0, 0
 	}
-	first := addr &^ uint64(LineSize - 1)
-	last := (addr + uint64(n) - 1) &^ uint64(LineSize - 1)
+	first := addr &^ uint64(LineSize-1)
+	last := (addr + uint64(n) - 1) &^ uint64(LineSize-1)
 	for line := first; ; line += LineSize {
 		lvl, c := h.Access(line)
 		cycles += c
@@ -149,7 +149,7 @@ func (h *refHierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLine
 }
 
 func (h *refHierarchy) Contains(addr uint64) HitLevel {
-	line := addr &^ uint64(LineSize - 1)
+	line := addr &^ uint64(LineSize-1)
 	switch {
 	case h.l1.contains(line):
 		return HitL1

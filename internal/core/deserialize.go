@@ -27,11 +27,14 @@ func (c *Ctx) Deserialize(schema *Schema, buf *mem.Buf) (*Message, error) {
 	return m, nil
 }
 
-// DeserializeBytes wraps a plain byte slice as a read-only Message view —
-// the client-side decode path, where the payload is not in pinned memory.
+// DeserializeBytes wraps a plain byte slice as a read-only Message view.
+// It is the client-side decode path: the payload is not in pinned memory,
+// and the load generator's memory is not modelled, so the view sits at
+// the fixed base of the unpinned window rather than at an address hashed
+// from its contents. Servers decode pinned buffers with Deserialize.
 // Release on the result is a no-op (no buffer reference to drop).
 func (c *Ctx) DeserializeBytes(schema *Schema, data []byte) (*Message, error) {
-	return c.deserializeView(schema, nil, data, mem.UnpinnedSimAddr(data), 0)
+	return c.deserializeView(schema, nil, data, mem.SimUnpinnedBase, 0)
 }
 
 // deserializeView parses one message header at base, validating recursively.

@@ -214,6 +214,10 @@ func (r *Receipt) Scale(n float64) {
 
 // Meter accumulates cycle charges for one core. All functional code on that
 // core shares the meter; the owning event loop drains it into service time.
+//
+// A meter over a nil Cache models no memory cost: Access, AccessWord and
+// the cache half of Copy are skipped. Load-generator nodes carry such a
+// meter (driver.NewClientNode); their cycles are never drained into time.
 type Meter struct {
 	CPU   CPU
 	Cache *cachesim.Hierarchy
@@ -231,7 +235,8 @@ type Meter struct {
 	SGEntriesPosts uint64
 }
 
-// NewMeter builds a meter over the given CPU and cache hierarchy.
+// NewMeter builds a meter over the given CPU and cache hierarchy (nil for
+// none).
 func NewMeter(cpu CPU, cache *cachesim.Hierarchy) *Meter {
 	return &Meter{CPU: cpu, Cache: cache}
 }
@@ -279,13 +284,19 @@ func (m *Meter) Charge(cy float64) {
 
 // Access touches n bytes at the simulated address, charging cache costs.
 func (m *Meter) Access(simAddr uint64, n int) {
+	if m.Cache == nil {
+		return
+	}
 	cy, _ := m.Cache.AccessRange(simAddr, n)
 	m.Charge(cy)
 }
 
 // AccessWord touches a single word (one line) and reports whether it missed
-// to DRAM.
+// to DRAM. Without a cache it reports an L1 hit at no cost.
 func (m *Meter) AccessWord(simAddr uint64) cachesim.HitLevel {
+	if m.Cache == nil {
+		return cachesim.HitL1
+	}
 	lvl, cy := m.Cache.Access(simAddr)
 	m.Charge(cy)
 	return lvl

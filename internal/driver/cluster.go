@@ -28,7 +28,8 @@ type ClusterTestbed struct {
 	// Servers[i] is the KV shard reachable at ServerAddrs[i].
 	Servers     []*KVServer
 	ServerAddrs []byte
-	// Clients[i] is a load-generator endpoint at ClientAddrs[i].
+	// Clients[i] is a load-generator endpoint (a client node) at
+	// ClientAddrs[i].
 	Clients     []*Node
 	ClientAddrs []byte
 	// Ring maps keys to server indexes; clients and Preload share it, so
@@ -52,7 +53,7 @@ func NewClusterTestbed(nServers, nClients int, sys System, profile nic.Profile, 
 		c.ServerAddrs = append(c.ServerAddrs, addr)
 	}
 	for i := 0; i < nClients; i++ {
-		n, addr := c.AddNode(profile, cachesim.DefaultConfig())
+		n, addr := c.AddClient(profile)
 		c.Clients = append(c.Clients, n)
 		c.ClientAddrs = append(c.ClientAddrs, addr)
 	}

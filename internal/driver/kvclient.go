@@ -10,8 +10,9 @@ import (
 
 // KVClient encodes workload requests and decodes response ids for one
 // serialization system; it plugs into loadgen.Run. The load generator
-// machine is not the measured resource (§6.1.1), so client-side encoding
-// costs land on the client node's meter and are not reported.
+// machine is not the measured resource (§6.1.1): it runs on a client node
+// (NewClientNode), whose meter models no memory cost, and the cycles its
+// encoding charges are never drained or reported.
 type KVClient struct {
 	Sys System
 	N   *Node

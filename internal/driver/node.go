@@ -4,6 +4,14 @@
 // every baseline serializer, and echo servers for the §2 motivation and
 // Figure 9 TCP experiments. The experiments package builds every table and
 // figure from these pieces.
+//
+// Nodes come in two roles. A server node (NewNode, NewNodeCfg,
+// Rack.AddNode) is a modelled machine with a cache hierarchy under its
+// meter. A client node (NewClientNode, Rack.AddClient) is a load
+// generator, like the paper's dedicated 16-thread DPDK client (§6.1): it
+// has no cache hierarchy, so its meter models no memory cost, and no
+// report reads its cycles. Every testbed builds its clients that way; a
+// server built on a client node panics at construction.
 package driver
 
 import (
@@ -90,6 +98,7 @@ type Node struct {
 	Eng   *sim.Engine
 	Alloc *mem.Allocator
 	Arena *mem.Arena
+	// Cache is nil on a client node (NewClientNode).
 	Cache *cachesim.Hierarchy
 	Meter *costmodel.Meter
 	Ctx   *core.Ctx
@@ -138,8 +147,18 @@ func NewNodeCfg(eng *sim.Engine, port *nic.Port, useTCP bool, cacheCfg cachesim.
 	return newNode(eng, port, useTCP, cachesim.New(cacheCfg))
 }
 
+// NewClientNode builds a client-role node: a load generator rather than a
+// modelled machine. It has no cache hierarchy, so its meter charges no
+// memory cost. It keeps its allocator, which holds the NIC's DMA buffers
+// (and takes the soak's client cap), and its arena and ctx, which encode
+// requests.
+func NewClientNode(eng *sim.Engine, port *nic.Port, useTCP bool) *Node {
+	return newNode(eng, port, useTCP, nil)
+}
+
 // newNode builds a node over an existing cache hierarchy (multi-core
-// servers hand each core a private hierarchy over one shared L3).
+// servers hand each core a private hierarchy over one shared L3), or over
+// none for a client node.
 func newNode(eng *sim.Engine, port *nic.Port, useTCP bool, cache *cachesim.Hierarchy) *Node {
 	alloc := mem.NewAllocator()
 	arena := mem.NewArena(256 << 10)
@@ -163,7 +182,7 @@ func newNode(eng *sim.Engine, port *nic.Port, useTCP bool, cache *cachesim.Hiera
 }
 
 // Testbed is a client and server pair joined by one link, mirroring the
-// back-to-back machine pairs of §6.1.1.
+// back-to-back machine pairs of §6.1.1. The client is a client node.
 type Testbed struct {
 	Eng    *sim.Engine
 	Client *Node
@@ -184,7 +203,7 @@ func NewTestbedCfg(profile nic.Profile, cacheCfg cachesim.Config) *Testbed {
 	pc, ps := nic.Link(eng, profile, profile, propagation)
 	return &Testbed{
 		Eng:    eng,
-		Client: NewNode(eng, pc, false),
+		Client: NewClientNode(eng, pc, false),
 		Server: NewNodeCfg(eng, ps, false, cacheCfg),
 	}
 }
@@ -195,7 +214,7 @@ func NewTCPTestbed(profile nic.Profile) *Testbed {
 	pc, ps := nic.Link(eng, profile, profile, propagation)
 	return &Testbed{
 		Eng:    eng,
-		Client: NewNode(eng, pc, true),
+		Client: NewClientNode(eng, pc, true),
 		Server: NewNode(eng, ps, true),
 	}
 }

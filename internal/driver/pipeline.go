@@ -137,8 +137,12 @@ type Req struct {
 
 // Init binds the pipeline to its node and handler. serve runs each
 // admitted request on the host core and consumes r.P; handleLabel is the
-// trace label of the dispatch mark.
+// trace label of the dispatch mark. It panics on a client node: a server
+// is a modelled machine and needs a cache hierarchy.
 func (pl *Pipeline) Init(n *Node, handleLabel string, serve func(r Req)) {
+	if n.Cache == nil {
+		panic("driver: a server needs a modelled node, not a client node")
+	}
 	pl.N = n
 	pl.handleLabel = handleLabel
 	pl.serve = serve

@@ -38,11 +38,21 @@ func NewRack(fcfg fabric.Config) *Rack {
 	return &Rack{Eng: eng, Exec: eng, Switch: fabric.New(eng, fcfg)}
 }
 
-// AddNode plugs a fresh UDP node into the switch and returns it with its
-// fabric address.
+// AddNode plugs a fresh UDP server node into the switch and returns it
+// with its fabric address.
 func (r *Rack) AddNode(profile nic.Profile, cacheCfg cachesim.Config) (*Node, byte) {
+	return r.add(profile, cachesim.New(cacheCfg))
+}
+
+// AddClient plugs a fresh UDP client node (NewClientNode) into the switch
+// and returns it with its fabric address.
+func (r *Rack) AddClient(profile nic.Profile) (*Node, byte) {
+	return r.add(profile, nil)
+}
+
+func (r *Rack) add(profile nic.Profile, cache *cachesim.Hierarchy) (*Node, byte) {
 	port, addr := r.Switch.PlugIn(profile, propagation)
-	n := NewNodeCfg(r.Eng, port, false, cacheCfg)
+	n := newNode(r.Eng, port, false, cache)
 	n.UDP.LocalAddr = addr
 	r.Nodes = append(r.Nodes, n)
 	r.Addrs = append(r.Addrs, addr)

@@ -303,7 +303,7 @@ func microMaxGbps(mode microMode, nCores, segSize, count, workingSet int, sc Sca
 		prof := nic.MellanoxCX5Ex()
 		pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
 		clientAlloc := mem.NewAllocator()
-		clientMeter := costmodel.NewMeter(costmodel.DefaultCPU(), cachesim.New(cachesim.DefaultConfig()))
+		clientMeter := costmodel.NewMeter(costmodel.DefaultCPU(), nil) // a load generator: no memory model
 		clientUDP := netstack.NewUDP(eng, pc, clientAlloc, clientMeter)
 		srv := newMicroServer(eng, ps, nCores, mode, segSize, count, workingSet, expCacheConfig())
 		return loadgen.Run(loadgen.Config{

@@ -25,11 +25,7 @@ func ExtMulticore(sc Scale) *Report {
 	measure := func(nCores int) float64 {
 		gen := workloads.NewTwitter(8*sc.StoreKeys, 190)
 		run := func(rate float64) (loadgen.Result, float64) {
-			eng := sim.NewEngine()
-			prof := nic.MellanoxCX6()
-			pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
-			clientNode := driver.NewNode(eng, pc, false)
-			srv := driver.NewMultiKVServer(eng, ps, nCores, driver.SysCornflakes, expCacheConfig())
+			eng, clientNode, srv := multicoreBed(nCores)
 			srv.Preload(gen.Records())
 			res := loadgen.Run(loadgen.Config{
 				Eng: eng, EP: clientNode.UDP,
@@ -96,4 +92,14 @@ func ExtMulticore(sc Scale) *Report {
 		"key-sharded stores, private L1/L2, shared L3, one shared 100Gbps port",
 		"the paper's §6.6 microbenchmark scales linearly; this verifies the same for the full application")
 	return r
+}
+
+// multicoreBed builds the ext-multicore topology on a fresh engine: a
+// client node and an nCores Cornflakes server joined by one link.
+func multicoreBed(nCores int) (*sim.Engine, *driver.Node, *driver.MultiKVServer) {
+	eng := sim.NewEngine()
+	prof := nic.MellanoxCX6()
+	pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
+	client := driver.NewClientNode(eng, pc, false)
+	return eng, client, driver.NewMultiKVServer(eng, ps, nCores, driver.SysCornflakes, expCacheConfig())
 }

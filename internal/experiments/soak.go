@@ -183,7 +183,7 @@ func SoakEcho(seed uint64) SoakResult {
 		}
 		p := payload(sent)
 		sent++
-		tb.Client.TCP.SendContiguous(p, mem.UnpinnedSimAddr(p))
+		tb.Client.TCP.SendContiguous(p, 0)
 	}
 	tb.Client.TCP.SetRecvHandler(func(p *mem.Buf) {
 		defer p.DecRef()
@@ -261,7 +261,7 @@ func SoakKV(seed uint64) SoakResult {
 			req.Keys = append(req.Keys, recs[k].Key)
 		}
 		p := codec.BuildStep(id, req, 0)
-		tb.Client.TCP.SendContiguous(p, mem.UnpinnedSimAddr(p))
+		tb.Client.TCP.SendContiguous(p, 0)
 	}
 	tb.Client.TCP.SetRecvHandler(func(p *mem.Buf) {
 		m, err := msgs.DeserializeGetM(tb.Client.Ctx, p)

@@ -291,8 +291,8 @@ func deliveryTime(t *testing.T, cfg Config) sim.Time {
 // ExplicitZero sentinel must yield a switch that is exactly the 300 ns
 // default faster than the zero-value config.
 func TestConfigExplicitZeroLatency(t *testing.T) {
-	def := deliveryTime(t, Config{})                       // zero value → 300 ns default
-	pinned := deliveryTime(t, Config{LatencyNs: 300})      // explicit default
+	def := deliveryTime(t, Config{})                        // zero value → 300 ns default
+	pinned := deliveryTime(t, Config{LatencyNs: 300})       // explicit default
 	cut := deliveryTime(t, Config{LatencyNs: ExplicitZero}) // genuinely zero
 	if def != pinned {
 		t.Errorf("zero-value LatencyNs delivered at %v, explicit 300 at %v; zero must mean the 300 ns default", def, pinned)

@@ -102,9 +102,11 @@ type Config struct {
 	// Exec, when set, is what Run/RunMany drive instead of Eng. Scheduling
 	// stays on Eng; only the run loop moves. Nil means drive Eng directly.
 	Exec sim.Runner
-	// EP is the client-side endpoint (its meter is the client's own CPU,
-	// which is not the measured resource — the paper's load generator has
-	// 16 threads on a dedicated machine).
+	// EP is the client-side endpoint, on a client node
+	// (driver.NewClientNode). The load generator is not the measured
+	// resource — the paper's has 16 threads on a dedicated machine (§6.1)
+	// — so sends pass no simulated address, and the node's meter models
+	// no memory cost and is never drained into time.
 	EP       Endpoint
 	Gen      workloads.Generator
 	Client   Client
@@ -236,6 +238,11 @@ type flow struct {
 	hedged    bool
 	// tr is the flow's trace record (nil when tracing is off).
 	tr *trace.Flow
+
+	// onDeadline, onHedge and onResend are the flow's timer callbacks,
+	// bound once when the struct is first made and kept across the pool,
+	// so arming a timer costs no closure.
+	onDeadline, onHedge, onResend func()
 }
 
 // Runner is one in-flight load generation run. Start schedules all of a
@@ -255,6 +262,27 @@ type Runner struct {
 	// terminal path cancels the flow's timers and unregisters its wire ids
 	// first, so a parked flow has no live references.
 	flowPool []*flow
+
+	// rng draws interarrivals and requests. jitter is independent of the
+	// workload stream so enabling retries does not perturb which requests
+	// are generated; hedgeRng feeds only hedge-delay jitter, so enabling
+	// hedging never perturbs the retry-jitter sequence (and a disabled
+	// hedge policy draws nothing at all).
+	rng      *rand.Rand
+	jitter   *sim.Rand
+	hedgeRng *sim.Rand
+
+	// firstID and nextID bound the wire ids this run has issued:
+	// [firstID, nextID). An id in that range that no flow holds any more
+	// was resolved, expired or lost a hedge race; wasted names the last.
+	firstID, nextID uint64
+	wasted          map[uint64]bool
+	measureEnd      sim.Time
+
+	// router is the client's AttemptRouter side, nil for plain clients.
+	router AttemptRouter
+	// arriveFn is arrive bound once.
+	arriveFn func()
 }
 
 func (ru *Runner) getFlow() *flow {
@@ -263,11 +291,15 @@ func (ru *Runner) getFlow() *flow {
 		ru.flowPool = ru.flowPool[:k-1]
 		return f
 	}
-	return &flow{}
+	f := &flow{}
+	f.onDeadline = func() { ru.deadline(f) }
+	f.onHedge = func() { ru.hedgeDue(f) }
+	f.onResend = func() { ru.sendStep(f) }
+	return f
 }
 
 func (ru *Runner) putFlow(f *flow) {
-	*f = flow{}
+	*f = flow{onDeadline: f.onDeadline, onHedge: f.onHedge, onResend: f.onResend}
 	ru.flowPool = append(ru.flowPool, f)
 }
 
@@ -288,268 +320,32 @@ func (cfg Config) runner() sim.Runner {
 
 // Start schedules one open-loop run on cfg.Eng and returns its Runner.
 func Start(cfg Config) *Runner {
-	eng := cfg.Eng
-	r := rand.New(rand.NewPCG(cfg.Seed, 0x10AD))
 	ru := &Runner{
-		cfg:   cfg,
-		res:   Result{OfferedRps: cfg.RatePerS, Latency: NewHistogram()},
-		flows: map[uint64]*flow{},
+		cfg:        cfg,
+		res:        Result{OfferedRps: cfg.RatePerS, Latency: NewHistogram()},
+		flows:      map[uint64]*flow{},
+		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x10AD)),
+		jitter:     sim.NewRand(cfg.Seed ^ 0xBACC0FF),
+		hedgeRng:   sim.NewRand(cfg.Seed ^ 0x4ED9E),
+		firstID:    cfg.ClientID << 48,
+		nextID:     cfg.ClientID << 48,
+		wasted:     map[uint64]bool{},
+		measureEnd: cfg.Warmup + cfg.Measure,
 	}
 	if cfg.Buckets > 0 {
 		ru.res.BucketCompleted = make([]uint64, cfg.Buckets)
 	}
-	res := &ru.res
-
-	interarrival := func() sim.Time {
-		// Exponential interarrival for a Poisson process.
-		u := r.Float64()
-		if u <= 0 {
-			u = 1e-12
-		}
-		return sim.FromSeconds(-math.Log(u) / cfg.RatePerS)
-	}
-
-	var (
-		nextID     = cfg.ClientID << 48
-		flows      = ru.flows
-		expired    = map[uint64]bool{} // ids whose flow ended or was re-sent
-		wasted     = map[uint64]bool{} // loser ids of decided hedge races
-		measureEnd = cfg.Warmup + cfg.Measure
-		// jitter is independent of the workload stream so enabling retries
-		// does not perturb which requests are generated. Each cluster client
-		// forks its own sub-stream off the shared label space; a solo run
-		// (ClientID 0) keeps the historical root stream.
-		jitter = sim.NewRand(cfg.Seed ^ 0xBACC0FF)
-		// hedgeRng feeds only hedge-delay jitter, on its own sub-stream, so
-		// enabling hedging never perturbs the retry-jitter sequence (and a
-		// disabled hedge policy draws nothing at all).
-		hedgeRng = sim.NewRand(cfg.Seed ^ 0x4ED9E)
-	)
+	// Each cluster client forks its own sub-streams off the shared label
+	// space; a solo run (ClientID 0) keeps the historical root streams.
 	if cfg.ClientID != 0 {
-		jitter = jitter.Fork(cfg.ClientID)
-		hedgeRng = hedgeRng.Fork(cfg.ClientID)
+		ru.jitter = ru.jitter.Fork(cfg.ClientID)
+		ru.hedgeRng = ru.hedgeRng.Fork(cfg.ClientID)
 	}
+	ru.router, _ = cfg.Client.(AttemptRouter)
+	ru.arriveFn = ru.arrive
 
-	// announce tells an attempt-routing client which attempt index the next
-	// BuildStep belongs to. Nil for plain clients — no behavior change.
-	router, _ := cfg.Client.(AttemptRouter)
-	announce := func(attempt int) {
-		if router != nil {
-			router.RouteAttempt(attempt)
-		}
-	}
-
-	var sendStep func(f *flow)
-
-	// launchHedge fires the second racer of f's current attempt, routed as
-	// route index route+1 so failover routing picks a different replica
-	// than the primary.
-	launchHedge := func(f *flow) {
-		hid := nextID
-		nextID++
-		flows[hid] = f
-		f.hedgeID = hid
-		f.hedged = true
-		res.Hedges++
-		cfg.Tracer.Attempt(f.tr, hid, eng.Now())
-		announce(f.route + 1)
-		payload := cfg.Client.BuildStep(hid, f.req, f.step)
-		cfg.EP.SendContiguous(payload, mem.UnpinnedSimAddr(payload))
-	}
-
-	sendStep = func(f *flow) {
-		id := nextID
-		nextID++
-		flows[id] = f
-		f.primaryID = id
-		f.hedged = false
-		// Register the attempt before posting: the NIC observer's marks for
-		// this frame resolve through the wire id registered here.
-		cfg.Tracer.Attempt(f.tr, id, eng.Now())
-		announce(f.route)
-		payload := cfg.Client.BuildStep(id, f.req, f.step)
-		cfg.EP.SendContiguous(payload, mem.UnpinnedSimAddr(payload))
-		if cfg.Hedge.enabled() {
-			delay := cfg.Hedge.Delay + hedgeRng.Duration(cfg.Hedge.Jitter)
-			f.hedgeTimer = eng.After(delay, func() {
-				if flows[id] != f {
-					return // primary already resolved; no hedge needed
-				}
-				launchHedge(f)
-			})
-		}
-		if cfg.Retry.enabled() {
-			f.timer = eng.After(cfg.Retry.Deadline, func() {
-				if flows[id] != f {
-					return // resolved in the meantime
-				}
-				delete(flows, id)
-				expired[id] = true
-				// The hedge shares its primary's deadline: abandon the
-				// launched copy (its reply counts Late) or disarm the
-				// pending launch, so one timeout disposes the whole race.
-				f.hedgeTimer.Cancel()
-				if f.hedged {
-					if flows[f.hedgeID] == f {
-						delete(flows, f.hedgeID)
-						expired[f.hedgeID] = true
-						cfg.Tracer.AttemptEnd(f.hedgeID)
-					}
-					f.hedged = false
-					f.route++ // the hedge consumed the next failover slot
-				}
-				willRetry := f.attempts < cfg.Retry.MaxRetries
-				cfg.Tracer.Timeout(f.tr, id, eng.Now(), willRetry)
-				if !willRetry {
-					if f.measured {
-						res.TimedOut++
-					}
-					cfg.Tracer.EndFlow(f.tr, eng.Now(), trace.OutcomeTimedOut)
-					ru.putFlow(f)
-					return
-				}
-				// Capped exponential backoff plus jitter of up to half the
-				// backoff, so synchronized clients do not retry in phase.
-				bo := cfg.Retry.backoffFor(f.attempts)
-				f.attempts++
-				f.route++
-				res.Retries++
-				delay := bo + jitter.Duration(bo/2)
-				if delay <= 0 {
-					delay = 1 // After(0) would re-enter sendStep inline
-				}
-				eng.After(delay, func() { sendStep(f) })
-			})
-		}
-	}
-
-	// resolve ends the current attempt's bookkeeping for a delivered id.
-	// When the attempt was a two-racer hedge, the loser's wire id is
-	// retired as wasted — its reply, if it ever arrives, is hedge waste,
-	// never a second completion.
-	resolve := func(id uint64, f *flow) {
-		f.timer.Cancel()
-		f.hedgeTimer.Cancel()
-		delete(flows, id)
-		expired[id] = true
-		cfg.Tracer.AttemptEnd(id)
-		if f.hedged {
-			if id == f.hedgeID {
-				res.HedgeWins++
-			}
-			loser := f.primaryID
-			if id == f.primaryID {
-				loser = f.hedgeID
-			}
-			if flows[loser] == f {
-				delete(flows, loser)
-				wasted[loser] = true
-				cfg.Tracer.AttemptEnd(loser)
-			}
-			f.hedged = false
-		}
-	}
-
-	cfg.EP.SetRecvHandler(func(p *mem.Buf) {
-		defer p.DecRef()
-		now := eng.Now()
-		// Shed replies carry their own framing and never parse as a
-		// serialized response, so classify them first.
-		if cfg.ShedID != nil {
-			if id, ok := cfg.ShedID(p.Bytes()); ok {
-				f, ok := flows[id]
-				if !ok {
-					switch {
-					case wasted[id]:
-						res.HedgeWasted++
-					case expired[id]:
-						res.LateResponses++
-					default:
-						res.BadResponses++
-					}
-					return
-				}
-				resolve(id, f)
-				if f.measured {
-					res.Shed++
-				}
-				cfg.Tracer.EndFlow(f.tr, now, trace.OutcomeShed)
-				ru.putFlow(f)
-				return
-			}
-		}
-		id, err := cfg.Client.ResponseID(p.Bytes())
-		if err != nil {
-			res.BadResponses++
-			return
-		}
-		f, ok := flows[id]
-		if !ok {
-			switch {
-			case wasted[id]:
-				// The losing side of a decided hedge race answered: the
-				// redundancy cost of hedging, counted, never a second
-				// completion.
-				res.HedgeWasted++
-			case expired[id]:
-				// A response for an attempt we already resolved or retried:
-				// expected under timeouts (the original and the retry can
-				// both be answered), not a protocol error.
-				res.LateResponses++
-			default:
-				res.BadResponses++
-			}
-			return
-		}
-		resolve(id, f)
-		f.step++
-		if f.step < cfg.Client.Steps(f.req) {
-			sendStep(f)
-			if f.measured {
-				ru.respBytes += uint64(p.Len())
-			}
-			return
-		}
-		if f.measured && (now <= measureEnd || cfg.Retry.enabled()) {
-			// With the retry policy on, completions landing in the drain
-			// window still count, keeping the disposal accounting exact
-			// (sent == completed + shed + timed-out). Without it, the
-			// historical window-only semantics are preserved.
-			res.Completed++
-			ru.respBytes += uint64(p.Len())
-			res.Latency.Record(now - f.start)
-			if len(res.BucketCompleted) > 0 && now < measureEnd {
-				i := int(int64(now-cfg.Warmup) * int64(len(res.BucketCompleted)) / int64(cfg.Measure))
-				if i < 0 {
-					i = 0
-				}
-				if i >= len(res.BucketCompleted) {
-					i = len(res.BucketCompleted) - 1
-				}
-				res.BucketCompleted[i]++
-			}
-		}
-		cfg.Tracer.EndFlow(f.tr, now, trace.OutcomeCompleted)
-		ru.putFlow(f)
-	})
-
-	var arrive func()
-	arrive = func() {
-		now := eng.Now()
-		if now >= measureEnd {
-			return
-		}
-		req := cfg.Gen.Next(r)
-		f := ru.getFlow()
-		f.req, f.start, f.measured = req, now, now >= cfg.Warmup
-		if f.measured {
-			res.Sent++
-		}
-		f.tr = cfg.Tracer.BeginFlow(now, f.measured)
-		sendStep(f)
-		eng.After(interarrival(), arrive)
-	}
-	eng.After(interarrival(), arrive)
+	cfg.EP.SetRecvHandler(ru.onReply)
+	cfg.Eng.After(ru.interarrival(), ru.arriveFn)
 
 	// The run is complete at the end of the measurement window plus a drain
 	// period so in-flight responses are counted. With retries enabled the
@@ -565,8 +361,232 @@ func Start(cfg Config) *Runner {
 		}
 		drain += worst
 	}
-	ru.horizon = measureEnd + drain
+	ru.horizon = ru.measureEnd + drain
 	return ru
+}
+
+// interarrival draws the exponential gap of a Poisson arrival process.
+func (ru *Runner) interarrival() sim.Time {
+	u := ru.rng.Float64()
+	if u <= 0 {
+		u = 1e-12
+	}
+	return sim.FromSeconds(-math.Log(u) / ru.cfg.RatePerS)
+}
+
+// arrive issues one workload request and schedules the next arrival.
+func (ru *Runner) arrive() {
+	now := ru.cfg.Eng.Now()
+	if now >= ru.measureEnd {
+		return
+	}
+	req := ru.cfg.Gen.Next(ru.rng)
+	f := ru.getFlow()
+	f.req, f.start, f.measured = req, now, now >= ru.cfg.Warmup
+	if f.measured {
+		ru.res.Sent++
+	}
+	f.tr = ru.cfg.Tracer.BeginFlow(now, f.measured)
+	ru.sendStep(f)
+	ru.cfg.Eng.After(ru.interarrival(), ru.arriveFn)
+}
+
+// send registers the next wire id for f and posts the current step under
+// it, routed as attempt route. The load generator's memory is not
+// modelled, so the payload carries no simulated address.
+func (ru *Runner) send(f *flow, route int) {
+	id := ru.nextID
+	ru.nextID++
+	ru.flows[id] = f
+	// Register the attempt before posting: the NIC observer's marks for
+	// this frame resolve through the wire id registered here.
+	ru.cfg.Tracer.Attempt(f.tr, id, ru.cfg.Eng.Now())
+	// Tell an attempt-routing client which attempt the next BuildStep
+	// belongs to.
+	if ru.router != nil {
+		ru.router.RouteAttempt(route)
+	}
+	ru.cfg.EP.SendContiguous(ru.cfg.Client.BuildStep(id, f.req, f.step), 0)
+}
+
+// sendStep starts a new attempt at f's current step and arms its hedge
+// and deadline.
+func (ru *Runner) sendStep(f *flow) {
+	cfg := &ru.cfg
+	f.primaryID = ru.nextID
+	f.hedged = false
+	ru.send(f, f.route)
+	if cfg.Hedge.enabled() {
+		delay := cfg.Hedge.Delay + ru.hedgeRng.Duration(cfg.Hedge.Jitter)
+		f.hedgeTimer = ru.cfg.Eng.After(delay, f.onHedge)
+	}
+	if cfg.Retry.enabled() {
+		f.timer = ru.cfg.Eng.After(cfg.Retry.Deadline, f.onDeadline)
+	}
+}
+
+// hedgeDue fires the second racer of f's current attempt, routed as route
+// index route+1 so failover routing picks a different replica than the
+// primary.
+func (ru *Runner) hedgeDue(f *flow) {
+	if ru.flows[f.primaryID] != f {
+		return // primary already resolved; no hedge needed
+	}
+	f.hedgeID = ru.nextID
+	f.hedged = true
+	ru.res.Hedges++
+	ru.send(f, f.route+1)
+}
+
+// deadline expires f's current attempt and either retries it after a
+// backoff or, with the retry budget spent, times the flow out.
+func (ru *Runner) deadline(f *flow) {
+	cfg, res, now := &ru.cfg, &ru.res, ru.cfg.Eng.Now()
+	id := f.primaryID
+	if ru.flows[id] != f {
+		return // resolved in the meantime
+	}
+	delete(ru.flows, id)
+	// The hedge shares its primary's deadline: abandon the launched copy
+	// (its reply counts Late) or disarm the pending launch, so one timeout
+	// disposes the whole race.
+	f.hedgeTimer.Cancel()
+	if f.hedged {
+		if ru.flows[f.hedgeID] == f {
+			delete(ru.flows, f.hedgeID)
+			cfg.Tracer.AttemptEnd(f.hedgeID)
+		}
+		f.hedged = false
+		f.route++ // the hedge consumed the next failover slot
+	}
+	willRetry := f.attempts < cfg.Retry.MaxRetries
+	cfg.Tracer.Timeout(f.tr, id, now, willRetry)
+	if !willRetry {
+		if f.measured {
+			res.TimedOut++
+		}
+		cfg.Tracer.EndFlow(f.tr, now, trace.OutcomeTimedOut)
+		ru.putFlow(f)
+		return
+	}
+	// Capped exponential backoff plus jitter of up to half the backoff, so
+	// synchronized clients do not retry in phase.
+	bo := cfg.Retry.backoffFor(f.attempts)
+	f.attempts++
+	f.route++
+	res.Retries++
+	delay := bo + ru.jitter.Duration(bo/2)
+	if delay <= 0 {
+		delay = 1 // After(0) would re-enter sendStep inline
+	}
+	ru.cfg.Eng.After(delay, f.onResend)
+}
+
+// resolve ends the current attempt's bookkeeping for a delivered id. When
+// the attempt was a two-racer hedge, the loser's wire id is retired as
+// wasted — its reply, if it ever arrives, is hedge waste, never a second
+// completion.
+func (ru *Runner) resolve(id uint64, f *flow) {
+	f.timer.Cancel()
+	f.hedgeTimer.Cancel()
+	delete(ru.flows, id)
+	ru.cfg.Tracer.AttemptEnd(id)
+	if f.hedged {
+		if id == f.hedgeID {
+			ru.res.HedgeWins++
+		}
+		loser := f.primaryID
+		if id == f.primaryID {
+			loser = f.hedgeID
+		}
+		if ru.flows[loser] == f {
+			delete(ru.flows, loser)
+			ru.wasted[loser] = true
+			ru.cfg.Tracer.AttemptEnd(loser)
+		}
+		f.hedged = false
+	}
+}
+
+// unmatched classifies a reply whose id no flow holds.
+func (ru *Runner) unmatched(id uint64) {
+	switch {
+	case ru.wasted[id]:
+		// The losing side of a decided hedge race answered: the redundancy
+		// cost of hedging, counted, never a second completion.
+		ru.res.HedgeWasted++
+	case id >= ru.firstID && id < ru.nextID:
+		// A reply for an attempt already resolved or retried: expected
+		// under timeouts (the original and the retry can both be
+		// answered), not a protocol error.
+		ru.res.LateResponses++
+	default:
+		ru.res.BadResponses++
+	}
+}
+
+// onReply is the client endpoint's receive handler.
+func (ru *Runner) onReply(p *mem.Buf) {
+	defer p.DecRef()
+	cfg, res, now := &ru.cfg, &ru.res, ru.cfg.Eng.Now()
+	// Shed replies carry their own framing and never parse as a serialized
+	// response, so classify them first.
+	if cfg.ShedID != nil {
+		if id, ok := cfg.ShedID(p.Bytes()); ok {
+			f, ok := ru.flows[id]
+			if !ok {
+				ru.unmatched(id)
+				return
+			}
+			ru.resolve(id, f)
+			if f.measured {
+				res.Shed++
+			}
+			cfg.Tracer.EndFlow(f.tr, now, trace.OutcomeShed)
+			ru.putFlow(f)
+			return
+		}
+	}
+	id, err := cfg.Client.ResponseID(p.Bytes())
+	if err != nil {
+		res.BadResponses++
+		return
+	}
+	f, ok := ru.flows[id]
+	if !ok {
+		ru.unmatched(id)
+		return
+	}
+	ru.resolve(id, f)
+	f.step++
+	if f.step < cfg.Client.Steps(f.req) {
+		ru.sendStep(f)
+		if f.measured {
+			ru.respBytes += uint64(p.Len())
+		}
+		return
+	}
+	if f.measured && (now <= ru.measureEnd || cfg.Retry.enabled()) {
+		// With the retry policy on, completions landing in the drain window
+		// still count, keeping the disposal accounting exact (sent ==
+		// completed + shed + timed-out). Without it, the historical
+		// window-only semantics are preserved.
+		res.Completed++
+		ru.respBytes += uint64(p.Len())
+		res.Latency.Record(now - f.start)
+		if len(res.BucketCompleted) > 0 && now < ru.measureEnd {
+			i := int(int64(now-cfg.Warmup) * int64(len(res.BucketCompleted)) / int64(cfg.Measure))
+			if i < 0 {
+				i = 0
+			}
+			if i >= len(res.BucketCompleted) {
+				i = len(res.BucketCompleted) - 1
+			}
+			res.BucketCompleted[i]++
+		}
+	}
+	cfg.Tracer.EndFlow(f.tr, now, trace.OutcomeCompleted)
+	ru.putFlow(f)
 }
 
 // Horizon returns the virtual time the engine must reach before Finish:

@@ -227,9 +227,9 @@ func TestDoorbellExplicitZero(t *testing.T) {
 		eng.Run()
 		return at
 	}
-	unset := deliver(0)                                 // folds into PacketOccupancyNs
-	pinned := deliver(MellanoxCX6().PacketOccupancyNs)  // explicit fold
-	free := deliver(ExplicitZero)                       // genuinely free
+	unset := deliver(0)                                // folds into PacketOccupancyNs
+	pinned := deliver(MellanoxCX6().PacketOccupancyNs) // explicit fold
+	free := deliver(ExplicitZero)                      // genuinely free
 	if unset != pinned {
 		t.Errorf("unset DoorbellNs delivered at %v, explicit fallback at %v; zero must mean the per-packet fold", unset, pinned)
 	}

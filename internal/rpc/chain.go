@@ -112,7 +112,7 @@ func NewChain(cfg ChainConfig) *Chain {
 		}
 	}
 
-	cn, _ := c.AddNode(cfg.Profile, cachesim.DefaultConfig())
+	cn, _ := c.AddClient(cfg.Profile)
 	c.Client = NewClient(cn, cfg.Sys, tiers[0].Addr)
 	if cfg.ReqBytes > 0 {
 		c.Client.ReqBytes = cfg.ReqBytes

@@ -23,8 +23,8 @@ func (genConst) Next(*rand.Rand) workloads.Request { return workloads.Request{Op
 func chainCfg(sys driver.System, depth, fanout int) ChainConfig {
 	return ChainConfig{
 		Sys: sys, Profile: nic.MellanoxCX6(), Cache: cachesim.DefaultConfig(),
-		Fabric:    fabric.Config{},
-		Depth:     depth, Fanout: fanout,
+		Fabric: fabric.Config{},
+		Depth:  depth, Fanout: fanout,
 		AppCycles: 1500, ReqBytes: 64, FwdBytes: 64, RespBytes: 128,
 	}
 }

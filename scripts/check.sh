@@ -5,6 +5,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l (every tracked or new Go file is gofmt-clean)"
+unformatted=$(gofmt -l $(git ls-files --cached --others --exclude-standard '*.go'))
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    echo "gofmt: the files above need gofmt -w" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -43,8 +51,8 @@ echo "== perfbench module (vet, build, BENCHMARK.json in step with the reported 
 (cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off &&
     go vet . && go build -o /dev/null . && go test -run TestBenchmarkJSONMatches .)
 
-echo "== zero-alloc hot-path pins (DES engine, core, meter, cache fill, frame path, range walk, message pool, derived views, pipeline job FIFO, switch forwarding, rpc frame build, SendObject)"
-go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/mem ./internal/driver ./internal/fabric ./internal/rpc ./internal/netstack -run 'AllocFree|TestTimerStaleAfterRecycle'
+echo "== zero-alloc hot-path pins (DES engine, core, meter, cache fill, frame path, range walk, message pool, derived views, pipeline job FIFO, switch forwarding, rpc frame build, SendObject, loadgen request/reply)"
+go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/mem ./internal/driver ./internal/fabric ./internal/rpc ./internal/netstack ./internal/loadgen -run 'AllocFree|TestTimerStaleAfterRecycle'
 
 echo "== go test -race ./... (includes the parallel sweep smoke)"
 # The experiments package runs every reproduction at Quick scale; under the
